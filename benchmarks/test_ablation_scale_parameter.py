@@ -11,9 +11,9 @@ from the DP-FW schedule).
 import numpy as np
 
 from _common import FULL, assert_finite, run_catalog_bench
-from _scenarios import _l1_linear_data
 from repro import HeavyTailedDPFW, L1Ball, SquaredLoss
 from repro.experiments import bench
+from repro.experiments.panels import _l1_linear_data
 
 
 def test_ablation_scale_parameter(benchmark):

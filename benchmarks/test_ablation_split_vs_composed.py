@@ -13,8 +13,8 @@ composition sees all ``n`` but at per-step budget
 import numpy as np
 
 from _common import FULL, assert_finite, run_catalog_bench
-from _scenarios import _composed_catoni_dpfw, _l1_linear_data
 from repro.experiments import bench
+from repro.experiments.panels import _composed_catoni_dpfw, _l1_linear_data
 
 
 def test_ablation_split_vs_composed(benchmark):

@@ -11,9 +11,9 @@ larger threshold.  Catalog entry: ``ablation_truncation_threshold``
 import numpy as np
 
 from _common import FULL, assert_finite, run_catalog_bench
-from _scenarios import _l1_linear_data
 from repro import HeavyTailedPrivateLasso, L1Ball
 from repro.experiments import bench
+from repro.experiments.panels import _l1_linear_data
 
 
 def test_ablation_truncation_threshold(benchmark):

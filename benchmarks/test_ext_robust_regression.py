@@ -13,9 +13,9 @@ import numpy as np
 
 from _common import FULL, assert_finite, assert_trending_down, \
     run_catalog_bench
-from _scenarios import _l1_linear_data
 from repro import BiweightLoss, HeavyTailedDPFW, L1Ball
 from repro.experiments import bench
+from repro.experiments.panels import _l1_linear_data
 
 
 def test_ext_robust_regression(benchmark):

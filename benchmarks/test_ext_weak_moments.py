@@ -12,9 +12,9 @@ import numpy as np
 
 from _common import FULL, assert_finite, assert_trending_down, \
     run_catalog_bench
-from _scenarios import _l1_linear_data
 from repro import HeavyTailedDPFW, L1Ball, SquaredLoss
 from repro.experiments import bench
+from repro.experiments.panels import _l1_linear_data
 
 
 def test_ext_weak_moments(benchmark):

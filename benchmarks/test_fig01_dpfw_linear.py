@@ -20,8 +20,8 @@ from _common import (
     assert_trending_down,
     run_catalog_bench,
 )
-from _scenarios import _fit_l1_private, _l1_linear_data
 from repro.experiments import bench
+from repro.experiments.panels import _fit_l1_private, _l1_linear_data
 
 
 def test_fig01_dpfw_linear(benchmark):

@@ -17,9 +17,9 @@ from _common import (
     assert_trending_down,
     run_catalog_bench,
 )
-from _scenarios import LOGISTIC, _logistic_l1_data
 from repro import HeavyTailedDPFW, L1Ball
 from repro.experiments import bench
+from repro.experiments.panels import LOGISTIC, _logistic_l1_data
 
 
 def test_fig02_dpfw_logistic(benchmark):

@@ -432,7 +432,7 @@ def get_executor(executor: ExecutorLike = "serial",
         if executor == "fleet":
             # Imported lazily: repro.fleet imports this module for the
             # job-execution path, so a top-level import would be a cycle.
-            from ..fleet import FleetOptions, create_fleet_executor
+            from ..fleet import FleetExecutor, FleetOptions
             kwargs = {}
             if max_workers is not None:
                 kwargs["n_workers"] = max_workers
@@ -442,7 +442,7 @@ def get_executor(executor: ExecutorLike = "serial",
             broker = os.environ.get("REPRO_FLEET_BROKER")
             if broker:
                 kwargs["broker"] = broker
-            return create_fleet_executor(FleetOptions(**kwargs))
+            return FleetExecutor(FleetOptions(**kwargs))
         raise ValueError(f"unknown executor {executor!r}; "
                          "expected 'serial', 'thread', 'process', or 'fleet'")
     if hasattr(executor, "run"):

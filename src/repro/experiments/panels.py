@@ -12,11 +12,10 @@ for real) and fingerprint by field + ``__call__`` bytecode (editing a
 panel's code invalidates exactly its cached cells; see
 ``docs/engine.md``).
 
-These classes used to live in ``benchmarks/_scenarios.py``; they moved
-into the package so the named catalog (:mod:`repro.experiments.catalog`)
-and the CLI (``python -m repro``) can address them without the bench
-harness on ``sys.path``.  ``benchmarks/_scenarios.py`` remains as a
-re-exporting shim.
+They live in the package so the named catalog
+(:mod:`repro.experiments.catalog`) and the CLI (``python -m repro``)
+can address them without the bench harness on ``sys.path``; the bench
+files import their data and fit helpers from here too.
 
 Grouping: one class per experiment *family*, with a ``sweep`` field
 selecting which variable the x-axis drives, so e.g. Figures 5 and 6
@@ -833,14 +832,4 @@ __all__ = [
     "SplitVsComposedAblation",
     "TruncationThresholdAblation",
     "WeakMomentsExtension",
-    "_batch_composed_catoni_dpfw",
-    "_batch_fit_l1_private",
-    "_check_choice",
-    "_composed_catoni_dpfw",
-    "_fit_l1_private",
-    "_l1_linear_data",
-    "_logistic_excess",
-    "_logistic_l1_data",
-    "_resolve_sparse_axes",
-    "_squared_excess",
 ]

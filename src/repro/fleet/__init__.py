@@ -1,17 +1,23 @@
 """Fault-tolerant work-queue executor (``--executor fleet``).
 
-A coordinator enqueues digest-addressed :class:`~repro.evaluation.TrialJob`
-cells onto a broker; N workers lease, heartbeat, compute, and complete
-them.  Lost workers, lost completions, and duplicated deliveries are
-absorbed by protocol — lease expiry, capped-exponential requeue,
-bounded retries, dead letters, idempotent completion — and the whole
-machine runs on a virtual clock with a seeded fault schedule, so every
-failure mode is exercised deterministically in tier-1 tests.  Broker
-death itself is recoverable through the write-ahead
-:class:`~repro.fleet.journal.Journal`: every mutation is logged before
-it is applied and :func:`~repro.fleet.journal.replay_journal` rebuilds
-the broker bit-for-bit on restart.  See ``docs/engine.md`` ("Fleet
-executor") for the protocol and state diagram.
+One coordinator, :class:`~repro.fleet.executor.FleetExecutor`, enqueues
+digest-addressed :class:`~repro.evaluation.TrialJob` cells onto a
+broker; workers lease, heartbeat, compute, and complete them with their
+values, and the coordinator settles the run by reading every cell back
+from the broker.  Lost workers, lost completions, and duplicated
+deliveries are absorbed by protocol — lease expiry, capped-exponential
+requeue, bounded retries, dead letters, idempotent completion.
+
+Without a broker address the workers are simulated on a virtual clock
+under a seeded fault schedule, so every failure mode is exercised
+deterministically in tier-1 tests; with ``FleetOptions.broker`` the
+same coordinator drives a socket broker and real worker processes
+(:mod:`repro.fleet.net`).  Broker death itself is recoverable through
+the write-ahead :class:`~repro.fleet.journal.Journal`: every mutation
+is logged before it is applied and
+:func:`~repro.fleet.journal.replay_journal` rebuilds the broker
+bit-for-bit on restart.  See ``docs/engine.md`` ("Fleet executor") for
+the protocol and state diagram.
 """
 
 from .backoff import BackoffPolicy
@@ -25,13 +31,12 @@ from .broker import (
     InProcessBroker,
     Lease,
 )
-from .clock import ManualClock, MonotonicClock
+from .clock import ManualClock
 from .executor import (
     FleetError,
     FleetExecutor,
     FleetOptions,
     FleetStats,
-    create_fleet_executor,
 )
 from .faults import FaultSchedule
 from .journal import Journal, JournalError, read_journal, replay_journal
@@ -53,9 +58,7 @@ __all__ = [
     "LEASED",
     "Lease",
     "ManualClock",
-    "MonotonicClock",
     "QUEUED",
-    "create_fleet_executor",
     "read_journal",
     "replay_journal",
 ]

@@ -31,9 +31,12 @@ Fault tolerance is structural, not aspirational:
   any two completions of one key carry bit-identical values.
 
 Anything satisfying this method contract (enqueue/lease/heartbeat/
-complete/fail/expire plus ``outstanding``/``dead_letters``/``counters``)
-can replace :class:`InProcessBroker` — a redis- or ray-backed broker
-slots in behind the same :class:`~repro.fleet.executor.FleetExecutor`.
+complete/fail/expire, the ``state``/``result``/``outstanding``
+observers, ``dead_letters``/``counters``, and ``close``) can replace
+:class:`InProcessBroker`: the networked
+:class:`~repro.fleet.net.SocketBroker` does, and a redis- or ray-backed
+broker would slot in behind the same
+:class:`~repro.fleet.executor.FleetExecutor`.
 
 Crash safety is opt-in: pass a :class:`~repro.fleet.journal.Journal`
 and every successful mutation is appended to the write-ahead log
@@ -106,9 +109,8 @@ class _Task:
     #: Every lease id ever issued for this task — the set to prune from
     #: the broker's lease index once the task resolves (DONE/DEAD).
     history: List[int] = field(default_factory=list)
-    #: The completed values (and compute seconds), when the completing
-    #: worker shipped them through the broker (the networked tier does;
-    #: the in-process simulation keeps values worker-side).
+    #: The completed values (and compute seconds) the first completion
+    #: shipped; the coordinator reads them back to settle the run.
     result: Optional[Tuple[List[float], Optional[float]]] = None
 
 
@@ -259,11 +261,10 @@ class InProcessBroker:
                  elapsed: Optional[float] = None) -> str:
         """Report a finished attempt; idempotent by construction.
 
-        ``values`` (and ``elapsed``) optionally ship the computed cell
-        through the broker: the first completion pins them, a
-        :meth:`result` query reads them back.  The in-process simulation
-        never passes them (its workers keep values locally); networked
-        workers always do — the broker is their only channel home.
+        ``values`` (and ``elapsed``) ship the computed cell through the
+        broker: the first completion pins them, a :meth:`result` query
+        reads them back.  Every fleet worker, simulated or networked,
+        passes them — the broker is the only channel to the coordinator.
 
         Returns one of:
 
@@ -378,9 +379,8 @@ class InProcessBroker:
     def result(self, key: str) -> Optional[Tuple[List[float], Optional[float]]]:
         """The ``(values, elapsed)`` a completion shipped, or ``None``.
 
-        ``None`` means the task has not completed *with values* — it may
-        be pending, dead, or completed by a worker that kept its values
-        local (the in-process simulation).
+        ``None`` means the task has not completed with values: it is
+        pending, dead, or was completed by a caller that passed none.
         """
         return self._tasks[key].result
 
@@ -431,6 +431,9 @@ class InProcessBroker:
             "dead_letters": [(letter.key, letter.attempts, letter.reason)
                              for letter in self.dead_letters],
         }
+
+    def close(self) -> None:
+        """Release transport resources: nothing to release in process."""
 
     def next_eligible(self) -> Optional[float]:
         """The earliest ``not_before`` among queued tasks, or ``None``.

@@ -1,10 +1,9 @@
-"""Clocks the fleet schedules against: real monotonic time or virtual.
+"""The virtual clock the simulated fleet schedules against.
 
-Every time-dependent decision in :mod:`repro.fleet` — lease deadlines,
-heartbeat intervals, backoff delays, worker respawns — reads one
-:class:`Clock`.  Production backends use :class:`MonotonicClock`
-(``time.monotonic``); the in-process simulation and every fleet test
-use :class:`ManualClock`, whose time only moves when the coordinator
+The broker never reads a clock: every method takes an explicit ``now``.
+Networked coordinators and workers pass wall-clock ``time.time()``;
+the in-process simulation and every fleet test pass
+:class:`ManualClock` time, which only moves when the coordinator
 advances it.  That substitution is what makes the fault-injection
 harness deterministic *and* fast: a "60 second" lease timeout expires
 in microseconds of wall time, on an exactly reproducible tick.
@@ -18,19 +17,6 @@ would-be ``time.sleep`` through a clock.
 from __future__ import annotations
 
 import threading
-import time
-
-
-class MonotonicClock:
-    """The real deal: ``time.monotonic`` now, ``time.sleep`` sleeps."""
-
-    def now(self) -> float:
-        """Seconds on the process-wide monotonic clock."""
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        """Block the calling thread for ``seconds``."""
-        time.sleep(seconds)
 
 
 class ManualClock:

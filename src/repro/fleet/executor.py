@@ -1,4 +1,4 @@
-"""The fleet executor: a coordinator, N leased workers, one broker.
+"""The fleet executor: one coordinator, N leased workers, one broker.
 
 :class:`FleetExecutor` satisfies the engine's executor contract — its
 ``run(payloads)`` returns one cell result per payload, in payload order
@@ -6,22 +6,25 @@
 cell is enqueued on a broker keyed by its job digest, workers lease
 cells, compute them through the very same
 :func:`~repro.evaluation.engine._execute_payload` path as every other
-executor, heartbeat while busy, and complete back to the broker.  Lost
-workers, lost completions, and duplicated deliveries are therefore
-recoverable by protocol (expire → backoff → requeue → dead-letter), not
-by luck.
+executor, heartbeat while busy, and complete back to the broker with
+their values.  Lost workers, lost completions, and duplicated
+deliveries are therefore recoverable by protocol (expire → backoff →
+requeue → dead-letter), not by luck.
 
-Determinism is the whole design.  The simulation runs on a
-:class:`~repro.fleet.clock.ManualClock`: workers are cooperatively
-stepped by the coordinator on virtual ticks, real compute happens at
-lease time (and is bit-identical regardless of scheduling, because
-every :class:`~repro.evaluation.TrialJob` carries its own seed
-material), and every injected fault is a pure function of the
-:class:`~repro.fleet.faults.FaultSchedule` seed and the cell digest.
-Run the same grid under the same schedule twice and you get the same
-leases, the same expiries, the same retries, the same dead letters —
-which is what lets tier-1 tests assert on failure modes instead of
-hoping for them.
+The coordinator has two drivers and one settlement.  Without
+``FleetOptions.broker`` it simulates the workers on a
+:class:`~repro.fleet.clock.ManualClock`: they are cooperatively stepped
+on virtual ticks, real compute happens at lease time (bit-identical
+regardless of scheduling, because every
+:class:`~repro.evaluation.TrialJob` carries its own seed material), and
+every injected fault is a pure function of the
+:class:`~repro.fleet.faults.FaultSchedule` seed and the cell digest —
+the same grid under the same schedule replays the same leases, expiries,
+retries and dead letters, which is what lets tier-1 tests assert on
+failure modes instead of hoping for them.  With a broker address it
+polls a socket broker on the wall clock, reaping expired leases, while
+real worker processes compute.  Either way the run settles by reading
+every cell's state and values back from the broker.
 
 Cells the fleet could not complete (retry exhaustion) are returned as
 placeholder values with ``cacheable=False`` so the engine never
@@ -33,12 +36,13 @@ run instead.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+import time
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
 from .backoff import BackoffPolicy
-from .broker import InProcessBroker, Lease
+from .broker import DEAD, DONE, InProcessBroker, Lease
 from .clock import ManualClock
 from .faults import FaultSchedule
 
@@ -71,13 +75,13 @@ class FleetOptions:
     #: surfaces dead letters in stats/records; ``"raise"`` aborts.
     dead_letter_policy: str = "record"
     #: ``HOST:PORT`` of a networked broker server.  When set,
-    #: :func:`create_fleet_executor` returns the remote coordinator
-    #: (:class:`~repro.fleet.net.executor.RemoteFleetExecutor`) instead
-    #: of the in-process simulation; ``n_workers``/``tick``/``faults``
-    #: then describe nothing — real worker processes bring their own.
+    #: :class:`FleetExecutor` enqueues onto that broker and polls it on
+    #: the wall clock instead of simulating workers;
+    #: ``n_workers``/``tick``/``faults`` then describe nothing — real
+    #: worker processes bring their own.
     broker: Optional[str] = None
-    #: Remote coordinator poll cadence (seconds between expire/settle
-    #: sweeps) and per-``run`` wall-clock budget.
+    #: Networked poll cadence (seconds between expire/settle sweeps)
+    #: and per-``run`` wall-clock budget.
     poll_interval: float = 0.2
     run_timeout: float = 600.0
     #: How long one remote broker call rides out unreachability
@@ -160,45 +164,13 @@ class FleetStats:
         return any(getattr(self, spec.name) for spec in fields(self))
 
 
-def assemble_results(order: Sequence[str], jobs: Dict[str, object],
-                     results: Dict[str, Tuple[List[float], Optional[float]]],
-                     dead: set, options: FleetOptions) -> List[Tuple]:
-    """Fold a settled run back into payload-order engine cell triples.
-
-    Shared by the in-process and networked coordinators: completed keys
-    become ``(values, elapsed, cacheable=True)`` cells, dead-lettered
-    keys become uncacheable placeholders (or abort the run under
-    ``dead_letter_policy="raise"``), and a key in neither map is a
-    coordinator bug worth crashing on.
-    """
-    out: List[Tuple] = []
-    for key in order:
-        if key in results:
-            values, elapsed = results[key]
-            out.append((list(values), elapsed, True))
-        elif key in dead:
-            if options.dead_letter_policy == "raise":
-                raise FleetError(
-                    f"cell {key} dead-lettered after "
-                    f"{options.max_attempts} attempts")
-            # Placeholder values, never cached: the run completes
-            # and records the loss instead of poisoning the cache.
-            out.append(([0.0] * jobs[key].n_trials, None, False))
-        else:
-            raise FleetError(f"coordinator lost track of cell {key}; "
-                             f"this is a fleet bug")
-    return out
-
-
 class _Worker:
     """One cooperatively-stepped simulated worker."""
 
-    __slots__ = ("index", "lease", "values", "elapsed", "finish_at",
-                 "next_beat", "suppress", "drop", "killed")
+    __slots__ = ("lease", "values", "elapsed", "finish_at", "next_beat",
+                 "suppress", "drop", "killed")
 
-    def __init__(self, index: int):
-        self.index = index
-        self.lease: Optional[Lease] = None
+    def __init__(self):
         self.reset()
 
     def reset(self) -> None:
@@ -219,7 +191,7 @@ class _Worker:
 
 
 class FleetExecutor:
-    """Work-queue executor over an in-process broker and virtual clock.
+    """The fleet coordinator: enqueue, drive to settlement, read back.
 
     Satisfies the engine's executor protocol (``run(payloads)`` →
     one ``(values, elapsed, cacheable)`` triple per payload, in payload
@@ -230,6 +202,16 @@ class FleetExecutor:
     including under injected faults — because jobs carry their own seed
     material and completion is idempotent per digest.
 
+    ``options.broker`` picks the transport and the driver.  Unset, each
+    run gets an :class:`~repro.fleet.broker.InProcessBroker` and
+    ``n_workers`` simulated workers stepped on the virtual clock.  Set,
+    each run resets the :class:`~repro.fleet.net.SocketBroker` at that
+    address and polls it on the wall clock while real worker processes
+    (``python -m repro fleet-worker``) compute; ``n_workers``/``tick``/
+    ``faults`` then describe nothing.  Either way workers complete with
+    their values, so the run settles by reading every cell back from
+    the broker.
+
     One instance accumulates :attr:`stats` and :attr:`dead_letters`
     across its ``run`` calls; the service tier creates one per recorded
     run so the totals describe exactly that record.
@@ -239,14 +221,26 @@ class FleetExecutor:
                  clock: Optional[ManualClock] = None, broker_factory=None):
         self.options = options if options is not None else FleetOptions()
         self.clock = clock if clock is not None else ManualClock()
-        #: Builds the per-run broker.  The default is the in-process
-        #: dict; tests inject a :class:`~repro.fleet.net.SocketBroker`
-        #: factory here to run the identical simulation over a real
-        #: socket server (the contract, not the transport, decides).
-        self.broker_factory = (broker_factory if broker_factory is not None
-                               else InProcessBroker)
+        #: Builds the per-run broker from the lease policy.  Tests
+        #: inject a :class:`~repro.fleet.net.SocketBroker` factory here
+        #: to run the identical simulation over a real socket server
+        #: (the contract, not the transport, decides).
+        if broker_factory is None:
+            broker_factory = (self._socket_broker if self.options.broker
+                              else InProcessBroker)
+        self.broker_factory = broker_factory
         self.stats = FleetStats()
         self.dead_letters: List[Dict[str, object]] = []
+
+    def _socket_broker(self, **policy):
+        """A freshly reset socket broker at ``options.broker``."""
+        # Imported lazily: the networked tier imports this module.
+        from .net.client import SocketBroker
+        opts = self.options
+        return SocketBroker(opts.broker, reset=True,
+                            force_reset=opts.force_reset,
+                            reconnect_timeout=opts.reconnect_timeout,
+                            **policy)
 
     # -- executor protocol ---------------------------------------------------
 
@@ -264,20 +258,82 @@ class FleetExecutor:
         broker = self.broker_factory(lease_timeout=opts.lease_timeout,
                                      max_attempts=opts.max_attempts,
                                      backoff=opts.backoff)
-        order: List[str] = []
-        jobs: Dict[str, object] = {}
-        for point, job in payloads:
-            order.append(job.digest)
-            if broker.enqueue(job.digest, (point, job)):
-                jobs[job.digest] = job
-        workers = [_Worker(i) for i in range(opts.n_workers)]
-        results: Dict[str, Tuple[List[float], Optional[float]]] = {}
-        self._simulate(broker, workers, results)
-        self._harvest(broker, jobs)
-        dead = {letter.key for letter in broker.dead_letters}
-        return assemble_results(order, jobs, results, dead, opts)
+        try:
+            jobs: Dict[str, object] = {}
+            for point, job in payloads:
+                if broker.enqueue(job.digest, (point, job)):
+                    jobs[job.digest] = job
+            if opts.broker:
+                self._await_settled(broker, len(jobs))
+            else:
+                self._simulate(broker)
+            # Dead-lettered cells settle to None.
+            settled: Dict[str, Optional[Tuple]] = {}
+            for key in jobs:
+                state = broker.state(key)
+                settled[key] = broker.result(key) if state == DONE else None
+                if settled[key] is None and state != DEAD:
+                    raise FleetError(f"cell {key} is {state!r} without "
+                                     f"values after the fleet settled; "
+                                     f"this is a fleet bug")
+            self._harvest(broker, jobs)
+        finally:
+            broker.close()
+        out: List[Tuple] = []
+        for _, job in payloads:
+            result = settled[job.digest]
+            if result is not None:
+                out.append((list(result[0]), result[1], True))
+            elif opts.dead_letter_policy == "raise":
+                raise FleetError(f"cell {job.digest} dead-lettered after "
+                                 f"{opts.max_attempts} attempts")
+            else:
+                # Placeholder values, never cached: the run completes
+                # and records the loss instead of poisoning the cache.
+                out.append(([0.0] * job.n_trials, None, False))
+        return out
 
-    # -- simulation ----------------------------------------------------------
+    # -- networked driver ----------------------------------------------------
+
+    def _await_settled(self, broker, n_cells: int) -> None:
+        """Poll expire/outstanding until every cell is DONE or DEAD.
+
+        The expire sweep is load-bearing: with every worker dead there
+        is nobody else to reap dangling leases, and without reaping a
+        crashed fleet would hang the run instead of dead-lettering it.
+
+        Broker downtime degrades the loop instead of killing the run:
+        the client already rides out ``reconnect_timeout`` of
+        unreachability per call, and a :class:`ConnectionError`
+        surfacing past that is absorbed here until the run deadline —
+        a broker restarted from its journal resumes settlement exactly
+        where the last successful poll left it.
+        """
+        opts = self.options
+        deadline = time.time() + opts.run_timeout
+        while True:
+            now = time.time()
+            try:
+                broker.expire(now)
+                outstanding = broker.outstanding()
+            except (ConnectionError, OSError) as exc:
+                if time.time() >= deadline:
+                    raise FleetError(
+                        f"fleet did not settle {n_cells} cells within "
+                        f"{opts.run_timeout}s: broker at {opts.broker} "
+                        f"unreachable ({exc})")
+                time.sleep(opts.poll_interval)
+                continue
+            if outstanding == 0:
+                return
+            if now >= deadline:
+                raise FleetError(
+                    f"fleet did not settle {n_cells} cells within "
+                    f"{opts.run_timeout}s (are any workers running against "
+                    f"{opts.broker}?)")
+            time.sleep(opts.poll_interval)
+
+    # -- simulated driver ----------------------------------------------------
 
     def _duration(self, key: str) -> float:
         """A cell's simulated compute time: 1–8 virtual seconds.
@@ -337,7 +393,7 @@ class FleetExecutor:
                 dup_queue.append(lease.key)
 
     def _step(self, broker: InProcessBroker, workers: List[_Worker],
-              results: Dict, now: float) -> None:
+              now: float) -> None:
         """Advance every busy worker one tick: finish, beat, or wait."""
         for worker in workers:
             if not worker.busy or worker.killed:
@@ -348,20 +404,19 @@ class FleetExecutor:
                     # lease dangles and the broker will retry the cell.
                     self.stats.dropped += 1
                 else:
-                    status = broker.complete(worker.lease.lease_id, now)
-                    if status != "duplicate" and worker.lease.key not in results:
-                        results[worker.lease.key] = (worker.values,
-                                                     worker.elapsed)
+                    broker.complete(worker.lease.lease_id, now,
+                                    values=worker.values,
+                                    elapsed=worker.elapsed)
                 worker.reset()
             elif now >= worker.next_beat:
                 if not worker.suppress:
                     broker.heartbeat(worker.lease.lease_id, now)
                 worker.next_beat = now + self.options.heartbeat_interval
 
-    def _simulate(self, broker: InProcessBroker, workers: List[_Worker],
-                  results: Dict) -> None:
-        """The coordinator loop: dispatch, tick, step, reap — to quiescence."""
+    def _simulate(self, broker: InProcessBroker) -> None:
+        """The simulated fleet: dispatch, tick, step, reap — to quiescence."""
         opts = self.options
+        workers = [_Worker() for _ in range(opts.n_workers)]
         limit = 1000 + int(
             200 * broker.counters["enqueued"] * opts.max_attempts)
         iterations = 0
@@ -383,7 +438,7 @@ class FleetExecutor:
                     self.clock.advance(hold - now)
                     continue
             now = self.clock.advance(opts.tick)
-            self._step(broker, workers, results, now)
+            self._step(broker, workers, now)
             reaped = set(broker.expire(now))
             for worker in workers:
                 if (worker.busy and worker.killed
@@ -391,10 +446,13 @@ class FleetExecutor:
                     # The broker noticed the death; respawn the worker.
                     worker.reset()
 
-    def _harvest(self, broker: InProcessBroker, jobs: Dict) -> None:
+    # -- telemetry -----------------------------------------------------------
+
+    def _harvest(self, broker, jobs: Dict) -> None:
         """Fold one settled broker into the executor-lifetime telemetry."""
         for name, value in broker.counters.items():
             setattr(self.stats, name, getattr(self.stats, name) + value)
+        self.stats.reconnects += getattr(broker, "reconnects", 0)
         for letter in broker.dead_letters:
             job = jobs[letter.key]
             self.dead_letters.append({
@@ -404,8 +462,6 @@ class FleetExecutor:
                 "attempts": letter.attempts,
                 "reason": letter.reason,
             })
-
-    # -- record/stats payloads ----------------------------------------------
 
     def record_payload(self) -> Dict[str, object]:
         """The ``fleet`` key for a run record: counters + dead letters.
@@ -418,24 +474,3 @@ class FleetExecutor:
         if self.dead_letters:
             payload["dead_letters"] = [dict(d) for d in self.dead_letters]
         return payload
-
-
-def create_fleet_executor(options: Optional[FleetOptions] = None,
-                          clock: Optional[ManualClock] = None):
-    """The fleet executor an options object actually asks for.
-
-    ``options.broker`` unset: the deterministic in-process simulation
-    (:class:`FleetExecutor`).  Set: the networked coordinator
-    (:class:`~repro.fleet.net.executor.RemoteFleetExecutor`) that
-    enqueues onto the socket broker at that address and lets real
-    worker processes compute.  Both satisfy the executor protocol and
-    expose the same ``stats``/``dead_letters``/``record_payload``
-    surface, so every caller upstream is transport-blind.
-    """
-    opts = options if options is not None else FleetOptions()
-    if opts.broker:
-        # Imported lazily: the networked tier is dead weight for the
-        # simulated fleet, and the module import would be circular.
-        from .net.executor import RemoteFleetExecutor
-        return RemoteFleetExecutor(opts)
-    return FleetExecutor(opts, clock=clock)

@@ -100,9 +100,3 @@ class FaultSchedule:
         """Should the worker's heartbeats be suppressed this attempt?"""
         return ((digest, attempt) in self.delay
                 or self._coin("delay", digest, attempt, self.delay_rate))
-
-    def any_configured(self) -> bool:
-        """Whether this schedule can ever inject a fault."""
-        return bool(self.kill_rate or self.drop_rate or self.duplicate_rate
-                    or self.delay_rate or self.kill or self.drop
-                    or self.delay or self.duplicate or self.poison)

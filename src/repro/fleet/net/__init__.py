@@ -1,4 +1,4 @@
-"""Networked fleet backend: socket broker, real workers, remote executor.
+"""Networked fleet backend: socket broker and real worker processes.
 
 The in-process fleet of :mod:`repro.fleet` simulates workers on a
 virtual clock; this package runs the *same* broker state machine behind
@@ -16,9 +16,13 @@ compute, and complete digest-keyed cells:
 * :mod:`~repro.fleet.net.worker` — the real worker loop
   (``python -m repro fleet-worker``): lease, heartbeat on the wall
   clock, compute through the unchanged engine job path, complete with
-  provenance-stamped values;
-* :class:`~repro.fleet.net.executor.RemoteFleetExecutor` — the
-  coordinator used for ``--executor fleet --broker HOST:PORT``.
+  the values.
+
+The coordinator is not here: :class:`~repro.fleet.executor.FleetExecutor`
+with ``FleetOptions(broker="HOST:PORT")`` (``--executor fleet --broker
+HOST:PORT``) resets the socket broker, enqueues, polls it to
+settlement, and reads the values back — the same settlement as the
+simulation.
 
 Results remain bit-identical to the serial executor because every
 :class:`~repro.evaluation.TrialJob` carries its own seed material and
@@ -27,7 +31,6 @@ values it moves.
 """
 
 from .client import SocketBroker
-from .executor import RemoteFleetExecutor
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .server import BrokerServer
 from .worker import FleetWorker
@@ -37,6 +40,5 @@ __all__ = [
     "FleetWorker",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RemoteFleetExecutor",
     "SocketBroker",
 ]

@@ -1,11 +1,13 @@
 """``SocketBroker`` — the broker method contract over a TCP connection.
 
 A drop-in for :class:`~repro.fleet.broker.InProcessBroker`: same
-methods, same signatures, same return shapes, same exceptions — which
-is exactly what lets the unchanged
-:class:`~repro.fleet.executor.FleetExecutor` drive a *networked* broker
-through its ``broker_factory`` hook, and what lets the broker contract
-tests run verbatim against the socket.
+methods, same signatures, same return shapes, same exceptions.  That is
+what lets the one coordinator,
+:class:`~repro.fleet.executor.FleetExecutor`, settle a networked run
+exactly as it settles a simulated one (it builds a reset
+``SocketBroker`` itself when ``FleetOptions.broker`` is set, and tests
+hand its simulation one through ``broker_factory``), and what lets the
+broker contract tests run verbatim against the socket.
 
 The client is thread-safe (one lock around each request/response
 exchange) so a worker's heartbeat thread can share its compute loop's

@@ -1,164 +1,10 @@
-"""``RemoteFleetExecutor`` — the coordinator for a networked fleet.
+"""The networked coordinator's former home, kept as an alias.
 
-Satisfies the engine's executor protocol exactly like
-:class:`~repro.fleet.executor.FleetExecutor` — ``run(payloads)`` →
-one ``(values, elapsed, cacheable)`` triple per payload, in payload
-order — but instead of simulating workers it enqueues every cell onto
-a socket broker and waits for real worker processes
-(``python -m repro fleet-worker``) to lease, compute, and complete
-them.  Completed values ship back *through the broker* (workers have no
-channel to the coordinator), so a cell's bytes take one extra JSON hop
-and land bit-identical: trial values are floats end to end.
-
-The coordinator's only active duties are reaping — it calls
-``expire(now)`` each poll so a killed worker's lease is noticed even
-when no other worker is polling — and settling: once ``outstanding()``
-reaches zero it reads every cell's state and values, folds broker
-counters into its stats, and assembles results with the same
-:func:`~repro.fleet.executor.assemble_results` logic as the simulated
-fleet.  Dead-lettered cells obey the same ``dead_letter_policy``.
+:class:`~repro.fleet.executor.FleetExecutor` coordinates networked runs
+itself when ``FleetOptions.broker`` is set.  This module remains because
+the benchmark's span tracer (``perfbench/spans.py``) wraps
+``RemoteFleetExecutor.run`` here to time networked runs as
+``fleet.RemoteFleetExecutor.run``; removing the alias would break it.
 """
 
-from __future__ import annotations
-
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from ..broker import DEAD, DONE
-from ..executor import (
-    FleetError,
-    FleetOptions,
-    FleetStats,
-    assemble_results,
-)
-from .client import SocketBroker
-
-
-class RemoteFleetExecutor:
-    """Drive a grid through a socket broker and real worker processes.
-
-    One instance accumulates :attr:`stats` and :attr:`dead_letters`
-    across its ``run`` calls (one per panel), mirroring
-    :class:`~repro.fleet.executor.FleetExecutor` so the service tier's
-    record/stats plumbing is transport-blind.  Each ``run`` resets the
-    remote broker — counters and dead letters describe exactly this
-    coordinator's work, and stale state from a previous run can never
-    satisfy (or block) this one.
-    """
-
-    def __init__(self, options: FleetOptions):
-        if not options.broker:
-            raise ValueError("RemoteFleetExecutor requires options.broker "
-                             "(HOST:PORT)")
-        self.options = options
-        self.stats = FleetStats()
-        self.dead_letters: List[Dict[str, object]] = []
-
-    # -- executor protocol ---------------------------------------------------
-
-    def run(self, payloads: Sequence[Tuple]) -> List[Tuple]:
-        """Enqueue every payload, wait for the fleet, settle in order."""
-        if not payloads:
-            return []
-        opts = self.options
-        broker = SocketBroker(opts.broker, lease_timeout=opts.lease_timeout,
-                              max_attempts=opts.max_attempts,
-                              backoff=opts.backoff, reset=True,
-                              force_reset=opts.force_reset,
-                              reconnect_timeout=opts.reconnect_timeout)
-        try:
-            return self._run(broker, payloads)
-        finally:
-            broker.close()
-
-    def _run(self, broker: SocketBroker,
-             payloads: Sequence[Tuple]) -> List[Tuple]:
-        """One settled run against a freshly-reset broker."""
-        opts = self.options
-        order: List[str] = []
-        jobs: Dict[str, object] = {}
-        for point, job in payloads:
-            order.append(job.digest)
-            if broker.enqueue(job.digest, (point, job)):
-                jobs[job.digest] = job
-        self._await_settled(broker, len(jobs))
-        results: Dict[str, Tuple[List[float], Optional[float]]] = {}
-        dead = set()
-        for key in jobs:
-            state = broker.state(key)
-            if state == DONE:
-                result = broker.result(key)
-                if result is None:
-                    raise FleetError(
-                        f"cell {key} completed without shipping values; "
-                        f"networked workers must complete with values")
-                results[key] = result
-            elif state == DEAD:
-                dead.add(key)
-            else:
-                raise FleetError(f"cell {key} still {state!r} after the "
-                                 f"fleet settled; this is a coordinator bug")
-        self._harvest(broker, jobs)
-        return assemble_results(order, jobs, results, dead, opts)
-
-    def _await_settled(self, broker: SocketBroker, n_cells: int) -> None:
-        """Poll expire/outstanding until every cell is DONE or DEAD.
-
-        The expire sweep is load-bearing: with every worker dead there
-        is nobody else to reap dangling leases, and without reaping a
-        crashed fleet would hang the run instead of dead-lettering it.
-
-        Broker downtime degrades the loop instead of killing the run:
-        the client already rides out :attr:`SocketBroker.reconnect_timeout`
-        of unreachability per call, and a :class:`ConnectionError`
-        surfacing past that is absorbed here until the run deadline —
-        a broker restarted from its journal resumes settlement exactly
-        where the last successful poll left it.
-        """
-        opts = self.options
-        deadline = time.time() + opts.run_timeout
-        while True:
-            now = time.time()
-            try:
-                broker.expire(now)
-                outstanding = broker.outstanding()
-            except (ConnectionError, OSError) as exc:
-                if time.time() >= deadline:
-                    raise FleetError(
-                        f"fleet did not settle {n_cells} cells within "
-                        f"{opts.run_timeout}s: broker at {opts.broker} "
-                        f"unreachable ({exc})")
-                time.sleep(opts.poll_interval)
-                continue
-            if outstanding == 0:
-                return
-            if now >= deadline:
-                raise FleetError(
-                    f"fleet did not settle {n_cells} cells within "
-                    f"{opts.run_timeout}s (are any workers running against "
-                    f"{opts.broker}?)")
-            time.sleep(opts.poll_interval)
-
-    def _harvest(self, broker: SocketBroker, jobs: Dict) -> None:
-        """Fold one settled remote broker into executor-lifetime stats."""
-        for name, value in broker.counters.items():
-            setattr(self.stats, name, getattr(self.stats, name) + value)
-        self.stats.reconnects += broker.reconnects
-        for letter in broker.dead_letters:
-            job = jobs[letter.key]
-            self.dead_letters.append({
-                "digest": letter.key,
-                "series_value": job.series_value,
-                "sweep_value": job.sweep_value,
-                "attempts": letter.attempts,
-                "reason": letter.reason,
-            })
-
-    # -- record/stats payloads ----------------------------------------------
-
-    def record_payload(self) -> Dict[str, object]:
-        """The ``fleet`` key for a run record: counters + dead letters."""
-        payload: Dict[str, object] = {"counters": self.stats.as_dict()}
-        if self.dead_letters:
-            payload["dead_letters"] = [dict(d) for d in self.dead_letters]
-        return payload
+from ..executor import FleetExecutor as RemoteFleetExecutor  # noqa: F401

@@ -17,7 +17,7 @@ cannot tell the difference.
 
 A ``reset`` operation atomically replaces the broker with a fresh one
 configured by the caller (lease policy and backoff travel as plain
-parameters).  The remote coordinator issues it once per run so counters
+parameters).  The coordinator issues it once per networked run so counters
 and dead letters describe exactly that run.  Two coordinators sharing
 one broker cannot silently clobber each other: ``reset`` refuses with
 :class:`~repro.fleet.broker.BrokerBusyError` while workers hold live

@@ -6,6 +6,9 @@ the socket broker, heartbeat on the wall clock while computing, execute
 through the *unchanged* engine job path
 (:func:`~repro.evaluation.engine._execute_payload` — the same function
 every local executor calls), and complete back with the trial values.
+The broker is the worker's only channel: the coordinator
+(:class:`~repro.fleet.executor.FleetExecutor` with a broker address)
+reads the values back from it once the run settles.
 Because each :class:`~repro.evaluation.TrialJob` carries its own seed
 material, a cell computed on any worker on any machine is bit-identical
 to a serial run of the same grid.
@@ -67,6 +70,11 @@ class FleetWorker:
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be > 0, "
                              f"got {poll_interval}")
+        if heartbeat_interval is not None and heartbeat_interval <= 0:
+            # Event.wait(0) returns at once: the heartbeat thread would
+            # spin, journalling one broker mutation per iteration.
+            raise ValueError(f"heartbeat_interval must be > 0, "
+                             f"got {heartbeat_interval}")
         self.broker = broker
         self.cache = cache
         self.faults = faults if faults is not None else FaultSchedule()
@@ -312,10 +320,16 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 1
     label = f"worker:{os.getpid()}"
-    worker = FleetWorker(broker, cache=cache, faults=faults,
-                         poll_interval=args.poll, idle_exit=args.idle_exit,
-                         heartbeat_interval=args.heartbeat_interval,
-                         label=label)
+    try:
+        worker = FleetWorker(broker, cache=cache, faults=faults,
+                             poll_interval=args.poll,
+                             idle_exit=args.idle_exit,
+                             heartbeat_interval=args.heartbeat_interval,
+                             label=label)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        broker.close()
+        return 2
     print(f"[{label}] polling broker {args.broker} "
           f"lease_timeout={broker.lease_timeout}", flush=True)
     signal.signal(signal.SIGTERM, _graceful_exit)

@@ -41,7 +41,7 @@ from ..evaluation import (
 from ..evaluation.scenarios import point_fingerprint
 from ..exceptions import ResultsError
 from ..experiments import bench, bench_names, bench_recorder
-from ..fleet import FleetOptions, FleetStats, create_fleet_executor
+from ..fleet import FleetExecutor, FleetOptions, FleetStats
 from ..experiments.catalog import BenchDef, claimed_digests
 from ..results import (
     ResultsStore,
@@ -201,8 +201,8 @@ class ServiceCore:
         # One fleet instance spans every panel of the run, so its
         # counters and dead letters describe exactly this record.
         # ``fleet.broker`` picks the transport: the in-process
-        # simulation, or the networked coordinator over a socket broker.
-        runner = (create_fleet_executor(self.fleet)
+        # simulation, or a socket broker with real workers.
+        runner = (FleetExecutor(self.fleet)
                   if executor == "fleet" else None)
         blocks, panels = [], []
         for panel, panel_executor in zip(definition.panels, resolved):
@@ -230,7 +230,7 @@ class ServiceCore:
                                result_stem=spec.name, executor=executor,
                                full=False)
         cells, on_cell = cell_capture()
-        runner = (create_fleet_executor(self.fleet)
+        runner = (FleetExecutor(self.fleet)
                   if executor == "fleet" else None)
         result = spec.run(executor=runner if runner is not None else executor,
                           cache=self.cache, n_trials=n_trials,

@@ -134,7 +134,6 @@ class TestBackoffPolicy:
 class TestFaultSchedule:
     def test_default_schedule_injects_nothing(self):
         quiet = FaultSchedule()
-        assert not quiet.any_configured()
         assert not any(quiet.kill_worker(f"d{i}", a)
                        or quiet.drop_completion(f"d{i}", a)
                        or quiet.duplicate_delivery(f"d{i}", a)
@@ -158,7 +157,6 @@ class TestFaultSchedule:
     def test_scripted_sets_force_exact_coordinates(self):
         plan = FaultSchedule(kill={("cell", 1)}, duplicate={"twin"},
                              poison={"cursed"})
-        assert plan.any_configured()
         assert not plan.kill_worker("cell", 0)
         assert plan.kill_worker("cell", 1)
         # Duplicates fire on the first dispatch only.

@@ -11,9 +11,9 @@ Three layers, cheapest first: pure protocol round-trips, the
 :class:`~repro.fleet.net.SocketBroker` satisfying the broker method
 contract verbatim against a live :class:`~repro.fleet.net.BrokerServer`
 (same assertions the in-process broker passes, explicit ``now``
-preserved), and whole-fleet runs — the unchanged simulated
+preserved), and whole-fleet runs — the simulated
 :class:`~repro.fleet.FleetExecutor` driving a *networked* broker via
-``broker_factory``, and the :class:`~repro.fleet.net.RemoteFleetExecutor`
+``broker_factory``, and the same executor with ``FleetOptions.broker``
 coordinating real :class:`~repro.fleet.net.FleetWorker` loops on
 threads.
 """
@@ -36,13 +36,12 @@ from repro.fleet import (
     FleetError,
     FleetExecutor,
     FleetOptions,
-    create_fleet_executor,
+    InProcessBroker,
     read_journal,
 )
 from repro.fleet.net import (
     BrokerServer,
     FleetWorker,
-    RemoteFleetExecutor,
     SocketBroker,
     protocol,
 )
@@ -208,28 +207,37 @@ class TestSocketContractParity:
             fresh.state("old")
 
 
+def _socket_factory(server, built):
+    """A ``broker_factory`` opening reset socket brokers into ``built``."""
+    def factory(**policy):
+        built.append(SocketBroker(server.address, reset=True, **policy))
+        return built[-1]
+    return factory
+
+
 class TestSimulatedFleetOverTheSocket:
-    """The unchanged FleetExecutor driving a networked broker."""
+    """The simulated FleetExecutor driving a networked broker."""
 
     def test_grid_is_bit_identical_to_serial(self, server):
         serial = _run("serial")
-        fleet = FleetExecutor(
-            FleetOptions(n_workers=3),
-            broker_factory=lambda **kw: SocketBroker(server.address,
-                                                     reset=True, **kw))
+        built = []
+        fleet = FleetExecutor(FleetOptions(n_workers=3),
+                              broker_factory=_socket_factory(server, built))
         assert _run(fleet) == serial
         assert fleet.stats.completed == len(_grid_digests())
+        # The run closed the connection it opened.
+        assert len(built) == 1 and built[0]._sock is None
 
     def test_chaos_schedule_is_bit_identical_to_serial(self, server):
         digests = _grid_digests()
         faults = FaultSchedule(kill={(digests[0], 0)},
                                drop={(digests[1], 0)},
                                duplicate={digests[2]})
-        fleet = FleetExecutor(
-            FleetOptions(n_workers=3, faults=faults),
-            broker_factory=lambda **kw: SocketBroker(server.address,
-                                                     reset=True, **kw))
+        built = []
+        fleet = FleetExecutor(FleetOptions(n_workers=3, faults=faults),
+                              broker_factory=_socket_factory(server, built))
         assert _run(fleet) == _run("serial")
+        assert len(built) == 1 and built[0]._sock is None
         assert fleet.stats.killed == 1 and fleet.stats.dropped == 1
         assert fleet.stats.duplicated == 1
         assert fleet.stats.retried >= 2
@@ -250,19 +258,21 @@ def _spawn_workers(server, n, **kwargs):
 
 
 def _reap_workers(workers, threads):
-    """Stop every worker loop and join its thread."""
+    """Stop every worker loop, join its thread, close its connection."""
     for worker in workers:
         worker.stop()
     for thread in threads:
         thread.join(timeout=10.0)
+    for worker in workers:
+        worker.broker.close()
 
 
 class TestRealWorkers:
-    """RemoteFleetExecutor + FleetWorker loops on wall clock."""
+    """Networked FleetExecutor + FleetWorker loops on wall clock."""
 
     def test_networked_grid_is_bit_identical_to_serial(self, server):
         serial = _run("serial")
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         workers, threads = _spawn_workers(server, 2)
@@ -273,6 +283,34 @@ class TestRealWorkers:
         assert remote.stats.completed == len(_grid_digests())
         assert remote.stats.dead == 0
         assert sum(w.leased for w in workers) == len(_grid_digests())
+
+    def test_faultless_run_wire_ops_are_pinned(self, server, monkeypatch):
+        """The coordinator's round trips for one healthy N-cell run."""
+        workers, threads = _spawn_workers(server, 2)
+        coordinator = threading.get_ident()
+        ops = []
+        call = SocketBroker.call
+
+        def spy(self, op, **args):
+            if threading.get_ident() == coordinator:
+                ops.append(op)
+            return call(self, op, **args)
+
+        monkeypatch.setattr(SocketBroker, "call", spy)
+        remote = FleetExecutor(FleetOptions(
+            broker=server.address, poll_interval=0.02, run_timeout=60.0,
+            **FAST))
+        try:
+            assert _run(remote) == _run("serial")
+        finally:
+            _reap_workers(workers, threads)
+        n = len(_grid_digests())
+        polls = ops[2 + n:-2 - 2 * n]
+        assert ops[:2 + n] == ["reset", "ping"] + ["enqueue"] * n
+        assert polls and polls == ["expire", "outstanding"] * (len(polls)
+                                                               // 2)
+        assert ops[-2 - 2 * n:] == (["state", "result"] * n
+                                    + ["counters", "dead_letters"])
 
     def test_worker_killed_mid_lease_retries_elsewhere(self, server):
         """A worker dies holding a lease; the survivor finishes the grid."""
@@ -290,7 +328,7 @@ class TestRealWorkers:
                               poll_interval=0.02, label="healthy")
         threads = [threading.Thread(target=w.run, daemon=True)
                    for w in (doomed, healthy)]
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         result_box = {}
@@ -323,7 +361,7 @@ class TestRealWorkers:
         serial = _run("serial")
         faults = FaultSchedule(drop={(digests[1], 0)})
         workers, threads = _spawn_workers(server, 2, faults=faults)
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         try:
@@ -340,7 +378,7 @@ class TestRealWorkers:
         serial = _run("serial")
         cache = ResultCache(tmp_path / "cells")
         workers, threads = _spawn_workers(server, 1, cache=cache)
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         try:
@@ -351,7 +389,7 @@ class TestRealWorkers:
         assert workers[0].cache_hits == len(_grid_digests())
 
     def test_settle_timeout_without_workers_raises(self, server):
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=0.3))
         with pytest.raises(FleetError, match="did not settle"):
             _run(remote)
@@ -359,21 +397,33 @@ class TestRealWorkers:
 
 class TestFactoryWiring:
     def test_options_without_broker_build_the_simulation(self):
-        assert isinstance(create_fleet_executor(FleetOptions()),
-                          FleetExecutor)
+        assert FleetExecutor(FleetOptions()).broker_factory is InProcessBroker
 
-    def test_options_with_broker_build_the_remote_coordinator(self):
-        executor = create_fleet_executor(
-            FleetOptions(broker="127.0.0.1:9"))
-        assert isinstance(executor, RemoteFleetExecutor)
+    def test_options_with_broker_build_the_remote_coordinator(self, server):
+        executor = FleetExecutor(FleetOptions(broker=server.address))
+        with executor.broker_factory(lease_timeout=2.0, max_attempts=5,
+                                     backoff=None) as broker:
+            assert isinstance(broker, SocketBroker)
+            # The run's broker is reset to the coordinator's policy.
+            assert (broker.lease_timeout, broker.max_attempts) == (2.0, 5)
 
     def test_malformed_broker_address_fails_at_option_construction(self):
         with pytest.raises(ValueError):
             FleetOptions(broker="no-port-here")
 
-    def test_remote_executor_requires_a_broker(self):
-        with pytest.raises(ValueError):
-            RemoteFleetExecutor(FleetOptions())
+
+class TestWorkerOptions:
+    def test_nonpositive_heartbeat_interval_is_rejected(self, server,
+                                                        capsys):
+        from repro.fleet.net.worker import main
+        with SocketBroker(server.address) as broker:
+            for bad in (0.0, -1.0):
+                with pytest.raises(ValueError, match="heartbeat_interval"):
+                    FleetWorker(broker, heartbeat_interval=bad)
+        # The CLI refuses it before polling, instead of spinning.
+        assert main(["--broker", server.address,
+                     "--heartbeat-interval", "0"]) == 2
+        assert "heartbeat_interval must be > 0" in capsys.readouterr().err
 
 
 #: Fast reconnect backoff so the outage tests finish in milliseconds.
@@ -474,7 +524,7 @@ class TestReconnectAndRecovery:
         first = BrokerServer(journal=str(journal), **FAST).start()
         port = first.port
         workers, threads = _spawn_workers(first, 2, faults=faults)
-        remote = RemoteFleetExecutor(FleetOptions(
+        remote = FleetExecutor(FleetOptions(
             broker=first.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         box = {}

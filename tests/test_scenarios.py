@@ -11,7 +11,6 @@ not.
 """
 
 import importlib.util
-import pathlib
 import pickle
 import sys
 import textwrap
@@ -28,12 +27,8 @@ from repro.evaluation import (
     run_grid,
 )
 
-BENCH_DIR = pathlib.Path(__file__).parent.parent / "benchmarks"
-if str(BENCH_DIR) not in sys.path:  # make benchmarks/_scenarios importable
-    sys.path.insert(0, str(BENCH_DIR))
-
-import _scenarios  # noqa: E402  (needs the sys.path entry above)
-from test_engine import _CountingExecutor  # noqa: E402  (shared helper)
+from repro.experiments import panels
+from test_engine import _CountingExecutor  # shared helper
 
 
 def _quadratic_point(series, x, rng, scale=1.0):
@@ -43,7 +38,7 @@ def _quadratic_point(series, x, rng, scale=1.0):
 
 def _bench_scenario():
     """A real (but laptop-sized) figure scenario: the Peeling ablation."""
-    return _scenarios.PeelingVsDenseAblation(n=300, s=2)
+    return panels.PeelingVsDenseAblation(n=300, s=2)
 
 
 class TestScenarioProtocol:
@@ -71,36 +66,36 @@ class TestScenarioProtocol:
         """A typo in a mode field must fail fast, not silently take the
         last dispatch branch and emit a plausible but wrong panel."""
         with pytest.raises(ValueError, match="sweep"):
-            _scenarios.SparseLinearPanel(
-                features=_scenarios.DistributionSpec("gaussian",
+            panels.SparseLinearPanel(
+                features=panels.DistributionSpec("gaussian",
                                                      {"scale": 1.0}),
-                noise=_scenarios.DistributionSpec("gaussian",
+                noise=panels.DistributionSpec("gaussian",
                                                   {"scale": 1.0}),
                 sweep="eps")
         with pytest.raises(ValueError, match="solver"):
-            _scenarios.L1LinearPanel(solver="sgd")
+            panels.L1LinearPanel(solver="sgd")
         with pytest.raises(ValueError, match="loss"):
-            _scenarios.RealDataPanel(dataset="blog", loss="hinge")
+            panels.RealDataPanel(dataset="blog", loss="hinge")
         with pytest.raises(ValueError, match="metric"):
-            _scenarios.SparseLinearPanel(
-                features=_scenarios.DistributionSpec("gaussian",
+            panels.SparseLinearPanel(
+                features=panels.DistributionSpec("gaussian",
                                                      {"scale": 1.0}),
-                noise=_scenarios.DistributionSpec("gaussian",
+                noise=panels.DistributionSpec("gaussian",
                                                   {"scale": 1.0}),
                 metric="l2")
 
     @pytest.mark.parametrize("scenario", [
-        _scenarios.L1LinearPanel(
+        panels.L1LinearPanel(
             solver="dpfw",
-            features=_scenarios.DistributionSpec("lognormal", {"sigma": 0.6}),
-            noise=_scenarios.DistributionSpec("gaussian", {"scale": 0.1}),
+            features=panels.DistributionSpec("lognormal", {"sigma": 0.6}),
+            noise=panels.DistributionSpec("gaussian", {"scale": 0.1}),
             sweep="epsilon", n_fixed=100),
-        _scenarios.RealDataPanel(dataset="blog", loss="squared"),
-        _scenarios.SparseLinearPanel(
-            features=_scenarios.DistributionSpec("gaussian", {"scale": 2.24}),
-            noise=_scenarios.DistributionSpec("lognormal", {"sigma": 0.5}),
+        panels.RealDataPanel(dataset="blog", loss="squared"),
+        panels.SparseLinearPanel(
+            features=panels.DistributionSpec("gaussian", {"scale": 2.24}),
+            noise=panels.DistributionSpec("lognormal", {"sigma": 0.5}),
             sweep="n", s_fixed=2),
-        _scenarios.PeelingVsDenseAblation(n=100, s=2),
+        panels.PeelingVsDenseAblation(n=100, s=2),
     ], ids=lambda s: type(s).__name__)
     def test_bench_scenarios_pickle_roundtrip(self, scenario):
         clone = pickle.loads(pickle.dumps(scenario))
@@ -131,8 +126,8 @@ class TestFingerprints:
                 == point_fingerprint(_quadratic_point))
 
     def test_fields_change_fingerprint(self):
-        a = _scenarios.PeelingVsDenseAblation(n=100, s=2)
-        b = _scenarios.PeelingVsDenseAblation(n=100, s=3)
+        a = panels.PeelingVsDenseAblation(n=100, s=2)
+        b = panels.PeelingVsDenseAblation(n=100, s=3)
         assert a.fingerprint() != b.fingerprint()
 
     def test_point_spec_params_change_fingerprint(self):
@@ -316,9 +311,9 @@ class TestCodeAwareCaching:
         cache = ResultCache(tmp_path)
         grid = dict(n_trials=1, seed=220)
         for expected, scenario in [
-            (2, _scenarios.PeelingVsDenseAblation(n=120, s=2)),
-            (0, _scenarios.PeelingVsDenseAblation(n=120, s=2)),
-            (2, _scenarios.PeelingVsDenseAblation(n=150, s=2)),
+            (2, panels.PeelingVsDenseAblation(n=120, s=2)),
+            (0, panels.PeelingVsDenseAblation(n=120, s=2)),
+            (2, panels.PeelingVsDenseAblation(n=150, s=2)),
         ]:
             counting = _CountingExecutor()
             run_grid(scenario, "d", [8, 16], "method", ["peeling"],
