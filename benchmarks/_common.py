@@ -19,21 +19,15 @@ engine architecture and the executor/cache environment knobs.
 from __future__ import annotations
 
 import os
-import pickle
-import warnings
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
-from repro.evaluation import format_panel_block, run_grid
 from repro.results import ResultsStore
 from repro.service import ServiceCore
 
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
-
-#: Trials per sweep point (the paper uses >= 20).
-N_TRIALS = 10 if FULL else 3
 
 #: Executor names the engine accepts (mirrors ``repro.cli``).
 _VALID_EXECUTORS = ("serial", "thread", "process", "fleet")
@@ -71,42 +65,6 @@ if CACHE_DIR is not None:
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def run_sweep(point: Callable[[object, object, np.random.Generator], float],
-              sweep_values: Sequence, series_values: Sequence,
-              n_trials: int = N_TRIALS, seed: int = 0
-              ) -> Dict[object, List[float]]:
-    """Average ``point(series, x, rng)`` over trials for each grid cell.
-
-    A thin wrapper over :func:`repro.evaluation.run_grid`, so the bench
-    grids get the engine's stable cross-process seeding, parallel
-    fan-out (``REPRO_BENCH_EXECUTOR``) and code-aware cell caching
-    (``REPRO_BENCH_CACHE``) for free.  ``point`` is normally one of the
-    ``repro.experiments.panels`` dataclasses — picklable, so the
-    process executor genuinely fans out, and fingerprinted, so the
-    engine's cache keys see its code.  An ad-hoc closure still works:
-    it runs on the serial (or thread) executor, and under ``process``
-    it falls back to serial with a warning rather than failing the
-    bench.
-    """
-    result = run_grid(point, "x", sweep_values, "series", series_values,
-                      n_trials=n_trials, seed=seed,
-                      executor=_resolve_executor(point), cache=CACHE_DIR)
-    return {series: [stat.mean for stat in result.series[series]]
-            for series in series_values}
-
-
-def _resolve_executor(point) -> str:
-    """The env-selected executor, demoted to serial for unpicklable points."""
-    if EXECUTOR == "process":
-        try:
-            pickle.dumps(point)
-        except Exception:
-            warnings.warn(f"point {point!r} is not picklable; "
-                          "falling back to the serial executor")
-            return "serial"
-    return EXECUTOR
-
-
 #: The one service core every bench in a pytest session runs through:
 #: shared cell cache, shared single-flight map — exactly the tier the
 #: CLI and ``python -m repro serve`` sit on, which is what makes bench,
@@ -129,8 +87,7 @@ def run_catalog_bench(name: str) -> List[Dict[object, List[float]]]:
     panels' ``series -> mean curve`` mappings, in catalog order, for
     the caller's shape assertions.
     """
-    run = CORE.run_bench(name, full=FULL, executor=EXECUTOR,
-                         demote_unpicklable=True)
+    run = CORE.run_bench(name, full=FULL, executor=EXECUTOR)
     for block in run.blocks:
         _emit_block(run.definition.result_stem, block)
     ResultsStore(RESULTS_DIR).save(run.record)
@@ -144,7 +101,7 @@ def run_catalog_bench(name: str) -> List[Dict[object, List[float]]]:
 _WRITTEN: set = set()
 
 
-def _emit_block(name: str, text: str) -> str:
+def _emit_block(name: str, text: str) -> None:
     """Print a formatted table block and persist it under results/."""
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -152,14 +109,6 @@ def _emit_block(name: str, text: str) -> str:
     _WRITTEN.add(name)
     with open(RESULTS_DIR / f"{name}.txt", mode) as fh:
         fh.write(text)
-    return text
-
-
-def emit_table(name: str, title: str, x_name: str, x_values: Sequence,
-               series: Dict[object, List[float]]) -> str:
-    """Print the figure table and persist it under benchmarks/results/."""
-    return _emit_block(name, format_panel_block(title, x_name, x_values,
-                                                series))
 
 
 def assert_finite(series: Dict[object, List[float]]) -> None:

@@ -511,10 +511,7 @@ class ResultCache:
 
     Cells are sharded into 256 subdirectories by the first two hex
     characters of the digest (``ab/abcd….json``) so the directory stays
-    fast at tens of thousands of cells.  Caches written by older
-    versions used a flat layout (``abcd….json`` at the top level);
-    reads fall through to the flat path transparently, so a legacy
-    cache keeps hitting without migration.  Hit/miss counters are
+    fast at tens of thousands of cells.  Hit/miss counters are
     lock-protected: one cache may be shared by concurrent requests.
     """
 
@@ -533,37 +530,30 @@ class ResultCache:
     def _path(self, digest: str) -> Path:
         return self.directory / digest[:2] / f"{digest}.json"
 
-    def _legacy_path(self, digest: str) -> Path:
-        return self.directory / f"{digest}.json"
-
     def iter_cells(self):
-        """Yield every cell file: sharded first, then legacy flat files.
+        """Yield every cell file, shard by shard.
 
         Shard directories are exactly two hex characters; anything else
-        at the top level (temp files, stray dirs) is ignored, matching
-        ``get``'s notion of what can ever be read back.
+        at the top level (temp files, stray dirs, flat ``*.json``) is
+        ignored, matching ``get``'s notion of what can ever be read back.
         """
         for shard in sorted(self.directory.iterdir()):
             if shard.is_dir() and _SHARD_RE.match(shard.name):
                 yield from sorted(shard.glob("*.json"))
-        yield from sorted(self.directory.glob("*.json"))
 
     def read_values(self, digest: str) -> Optional[object]:
         """The raw JSON payload stored for ``digest``, or ``None``.
 
-        A layout-aware read (shard first, then legacy flat) with no
-        shape validation and no counter updates — the query tier serves
-        cell bodies through this without perturbing hit/miss stats.
+        A raw read with no shape validation and no counter updates —
+        the query tier serves cell bodies through this without
+        perturbing hit/miss stats.
         """
-        for path in (self._path(digest), self._legacy_path(digest)):
-            try:
-                with open(path) as fh:
-                    return json.load(fh)
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-                # Missing, unreadable, or binary-corrupt files fall
-                # through to the legacy flat path, then to a miss.
-                continue
-        return None
+        try:
+            with open(self._path(digest)) as fh:
+                return json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            # Missing, unreadable, or binary-corrupt files are a miss.
+            return None
 
     def _read(self, job: TrialJob) -> Optional[List[float]]:
         """``job``'s validated cached values (counter-free), or ``None``."""
@@ -600,12 +590,10 @@ class ResultCache:
 
     def _touch(self, digest: str) -> None:
         """Refresh a cell's mtime (LRU recency); races are harmless."""
-        for path in (self._path(digest), self._legacy_path(digest)):
-            try:
-                os.utime(path)
-                return
-            except OSError:
-                continue
+        try:
+            os.utime(self._path(digest))
+        except OSError:
+            pass
 
     def put(self, job: TrialJob, values: Sequence[float]) -> None:
         """Atomically persist the trial values for ``job``.

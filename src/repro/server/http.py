@@ -309,8 +309,7 @@ class ReproServer:
 
         def compute():
             return self.core.run_bench(name, full=full, n_trials=n_trials,
-                                       executor=executor,
-                                       demote_unpicklable=True)
+                                       executor=executor)
 
         try:
             run = await self._in_pool(compute)

@@ -15,9 +15,8 @@ composes those pieces once and exposes a small method surface:
   :meth:`ServiceCore.cell_values`, :meth:`ServiceCore.catalog_entries`
   answer read requests from the committed stores without computing;
 * maintenance — :meth:`ServiceCore.scan_cache` and
-  :meth:`ServiceCore.prune_cache` split and garbage-collect cell files
-  (shard-aware, legacy-flat-aware) for ``cache stats`` / ``cache
-  prune``.
+  :meth:`ServiceCore.prune_cache` split and garbage-collect sharded
+  cell files for ``cache stats`` / ``cache prune``.
 
 Everything above it — :mod:`repro.cli`, ``benchmarks/_common``, and
 :mod:`repro.server` — is an adapter over these methods.
@@ -25,9 +24,7 @@ Everything above it — :mod:`repro.cli`, ``benchmarks/_common``, and
 
 from __future__ import annotations
 
-import pickle
 import re
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -63,16 +60,14 @@ class BenchRun:
     Carries everything any client renders: the resolved
     :class:`~repro.experiments.catalog.BenchDef`, the sealed
     provenance record, the per-panel text-table blocks (byte-identical
-    to the committed ``benchmarks/results/*.txt`` content), the
-    per-panel ``series -> mean curve`` mappings, and the executor that
-    actually ran each panel.
+    to the committed ``benchmarks/results/*.txt`` content), and the
+    per-panel ``series -> mean curve`` mappings.
     """
 
     definition: BenchDef
     record: RunRecord
     blocks: Tuple[str, ...]
     panels: Tuple[Dict[object, List[float]], ...]
-    executors: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -163,41 +158,21 @@ class ServiceCore:
 
     # -- compute tier --------------------------------------------------------
 
-    def _resolve_executor(self, point, executor: str) -> str:
-        """Demote the process executor to serial for unpicklable points."""
-        if executor == "process":
-            try:
-                pickle.dumps(point)
-            except Exception:
-                warnings.warn(f"point {point!r} is not picklable; "
-                              "falling back to the serial executor")
-                return "serial"
-        return executor
-
     def run_bench(self, name: str, *, full: bool = False,
                   n_trials: Optional[int] = None, executor: str = "serial",
-                  max_workers: Optional[int] = None, chunksize: int = 1,
-                  demote_unpicklable: bool = False) -> BenchRun:
+                  max_workers: Optional[int] = None,
+                  chunksize: int = 1) -> BenchRun:
         """Run one catalog bench through the engine; seal its record.
 
         The one bench execution path behind ``python -m repro run``,
         ``run_catalog_bench``, and ``POST /run`` — all three therefore
         produce identical tables and records (equal ``run_id``) for the
-        same entry.  ``demote_unpicklable`` enables the benches'
-        per-panel process→serial fallback; a record whose panels ran on
-        different executors is labelled ``"mixed"``.  Nothing is
+        same entry.  Every catalog panel point is a picklable scenario,
+        so every panel runs on the requested executor.  Nothing is
         persisted here — callers own their write policy.
         """
         definition = bench(name, full=full)
-        resolved = tuple(
-            self._resolve_executor(panel.point, executor)
-            if demote_unpicklable else executor
-            for panel in definition.panels)
-        # Record the executor that actually runs, not the requested
-        # knob: a demoted panel must not claim a process-pool run that
-        # never happened.
-        label = resolved[0] if len(set(resolved)) == 1 else "mixed"
-        recorder = bench_recorder(definition, executor=label, full=full)
+        recorder = bench_recorder(definition, executor=executor, full=full)
         # One fleet instance spans every panel of the run, so its
         # counters and dead letters describe exactly this record.
         # ``fleet.broker`` picks the transport: the in-process
@@ -205,9 +180,9 @@ class ServiceCore:
         runner = (FleetExecutor(self.fleet)
                   if executor == "fleet" else None)
         blocks, panels = [], []
-        for panel, panel_executor in zip(definition.panels, resolved):
+        for panel in definition.panels:
             series = panel.run(executor=runner if runner is not None
-                               else panel_executor, cache=self.cache,
+                               else executor, cache=self.cache,
                                n_trials=n_trials, max_workers=max_workers,
                                chunksize=chunksize, recorder=recorder,
                                flight=self.flight)
@@ -218,8 +193,7 @@ class ServiceCore:
             self.fleet_stats.merge(runner.stats)
             recorder.set_fleet(runner.record_payload())
         return BenchRun(definition=definition, record=recorder.finalize(),
-                        blocks=tuple(blocks), panels=tuple(panels),
-                        executors=resolved)
+                        blocks=tuple(blocks), panels=tuple(panels))
 
     def run_spec(self, spec: ExperimentSpec, *, executor: str = "serial",
                  n_trials: Optional[int] = None,
@@ -266,8 +240,8 @@ class ServiceCore:
                    baseline: set) -> Dict[str, List[Path]]:
         """Split cell files into catalog-claimed, baseline-pinned, orphaned.
 
-        Walks both the sharded (``ab/<digest>.json``) and legacy flat
-        layouts via :meth:`~repro.evaluation.ResultCache.iter_cells`.
+        Walks the sharded (``ab/<digest>.json``) layout via
+        :meth:`~repro.evaluation.ResultCache.iter_cells`.
         A cell counts as ``claimed`` when a current catalog grid
         produces its digest; failing that, as ``baseline`` when a
         committed baseline record references it; anything else is an

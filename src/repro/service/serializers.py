@@ -89,7 +89,6 @@ def stats_payload(core: ServiceCore) -> Dict[str, object]:
 def run_payload(core: ServiceCore, run: BenchRun) -> Dict[str, object]:
     """``POST /run``'s response: what ran, its identity, live counters."""
     payload = record_summary(run.record)
-    payload["executors"] = list(run.executors)
     payload["stats"] = stats_payload(core)
     return payload
 

@@ -392,8 +392,8 @@ class TestBatchedSpeedup:
     def test_lasso_family_batching_is_faster(self, monkeypatch):
         """The batched truncation ablation beats the scalar loop cold.
 
-        The committed trajectory shows ~2.5x; asserting a plain win
-        leaves a wide margin for noisy CI hosts.
+        Batching measured ~2.5x when it was introduced; asserting a
+        plain win leaves a wide margin for noisy CI hosts.
         """
         from repro.core import HeavyTailedPrivateLasso
         threshold = HeavyTailedPrivateLasso(

@@ -230,6 +230,14 @@ class TestResultsCommands:
         assert "error:" in capsys.readouterr().err
 
 
+def _write_cell(cache, digest, values):
+    """Write one cell file where ``ResultCache`` keeps it; its path."""
+    path = cache / digest[:2] / f"{digest}.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(values))
+    return path
+
+
 class TestCacheMaintenance:
     def _fake_cache(self, tmp_path, n_claimed=3, n_orphans=2):
         """A cache with files named by real claimed digests plus orphans.
@@ -242,10 +250,10 @@ class TestCacheMaintenance:
         cache.mkdir()
         claimed = sorted(claimed_digests())[:n_claimed]
         for digest in claimed:
-            (cache / f"{digest}.json").write_text(json.dumps([0.0, 1.0]))
+            _write_cell(cache, digest, [0.0, 1.0])
         orphans = [f"{'0' * 31}{i}" for i in range(n_orphans)]
         for digest in orphans:
-            (cache / f"{digest}.json").write_text(json.dumps([2.0]))
+            _write_cell(cache, digest, [2.0])
         return cache, claimed, orphans
 
     def test_stats_counts_claimed_and_orphaned(self, tmp_path, capsys):
@@ -261,16 +269,16 @@ class TestCacheMaintenance:
         assert main(["cache", "prune", "--cache", str(cache)]) == 0
         out = capsys.readouterr().out
         assert f"kept={len(claimed)} deleted={len(orphans)}" in out
-        remaining = {p.stem for p in cache.glob("*.json")}
+        remaining = {p.stem for p in cache.glob("*/*.json")}
         assert remaining == set(claimed)  # every claimed cell survives
 
     def test_prune_dry_run_deletes_nothing(self, tmp_path, capsys):
         cache, claimed, orphans = self._fake_cache(tmp_path)
-        before = sorted(cache.glob("*.json"))
+        before = sorted(cache.glob("*/*.json"))
         assert main(["cache", "prune", "--cache", str(cache),
                      "--dry-run"]) == 0
         assert "would delete=2" in capsys.readouterr().out
-        assert sorted(cache.glob("*.json")) == before
+        assert sorted(cache.glob("*/*.json")) == before
 
     def _baseline_pinned_cache(self, tmp_path):
         """A cache holding one baseline-pinned cell and one true orphan.
@@ -284,9 +292,8 @@ class TestCacheMaintenance:
         cache.mkdir()
         (job,) = build_jobs("x", [1], "series", ["only"], 2, 123,
                             code_token="retired-code")
-        (cache / f"{job.digest}.json").write_text(json.dumps([0.1, 0.2]))
-        orphan = cache / f"{'f' * 32}.json"
-        orphan.write_text(json.dumps([0.3]))
+        pinned = _write_cell(cache, job.digest, [0.1, 0.2])
+        orphan = _write_cell(cache, "f" * 32, [0.3])
         baselines = tmp_path / "baselines"
         recorder = RunRecorder(kind="bench", name="pin", result_stem="pin")
         recorder.add_panel(
@@ -294,7 +301,7 @@ class TestCacheMaintenance:
             sweep_values=[1], series_values=["only"], seed=123, n_trials=2,
             point_fingerprint="retired-code", cells=[(job, [0.1, 0.2])])
         ResultsStore(baselines).save(recorder.finalize())
-        return cache, baselines, cache / f"{job.digest}.json", orphan
+        return cache, baselines, pinned, orphan
 
     def test_prune_never_deletes_baseline_referenced_cells(self, tmp_path,
                                                            capsys):

@@ -110,19 +110,6 @@ class TestLruEviction:
         victims = cache.evict(now=now)
         assert {v.stem for v in victims} == {jobs[0].digest, jobs[1].digest}
 
-    def test_legacy_flat_cells_participate(self, tmp_path):
-        jobs = _jobs(3)
-        cache = ResultCache(tmp_path, eviction=EvictionPolicy(max_cells=3))
-        _fill(cache, jobs[:2], start=2_000_000.0)
-        # A legacy flat-layout cell, older than everything sharded.
-        legacy = tmp_path / f"{jobs[2].digest}.json"
-        legacy.write_text("[1.0, 1.0, 1.0]")
-        os.utime(legacy, (1_000_000.0, 1_000_000.0))
-        cache.eviction = EvictionPolicy(max_cells=2)
-        victims = cache.evict()
-        assert [v.stem for v in victims] == [jobs[2].digest]
-        assert not legacy.exists()
-
 
 class TestBaselinePins:
     def test_pinned_cells_are_never_evicted(self, tmp_path):

@@ -27,7 +27,7 @@ from repro.evaluation import (
     run_grid,
 )
 
-from repro.experiments import panels
+from repro.experiments import bench, bench_names, panels
 from test_engine import _CountingExecutor  # shared helper
 
 
@@ -101,6 +101,16 @@ class TestScenarioProtocol:
         clone = pickle.loads(pickle.dumps(scenario))
         assert clone == scenario
         assert clone.fingerprint() == scenario.fingerprint()
+
+    @pytest.mark.parametrize("full", [False, True], ids=["laptop", "full"])
+    @pytest.mark.parametrize("name", bench_names())
+    def test_every_catalog_point_pickles(self, name, full):
+        """Every catalog panel point crosses a process boundary intact,
+        so the process executor never needs a serial fallback."""
+        for panel in bench(name, full=full).panels:
+            clone = pickle.loads(pickle.dumps(panel.point))
+            assert clone == panel.point
+            assert point_fingerprint(clone) == point_fingerprint(panel.point)
 
 
 class TestExecutorBitIdentityOnBenchScenario:

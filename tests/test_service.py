@@ -1,10 +1,10 @@
-"""The service core: coalescing, shard migration, and run-id parity.
+"""The service core: coalescing, the sharded cache, and run-id parity.
 
 The tentpole guarantees under test: N concurrent requests for one cold
 cell digest trigger exactly one engine computation (single-flight); the
-sharded cache layout transparently reads cells written by the legacy
-flat layout; and the bench, CLI, and service execution paths produce
-run records with equal ``run_id`` for the same catalog entry.
+cache reads, lists and prunes cells only in its sharded layout; and the
+bench, CLI, and service execution paths produce run records with equal
+``run_id`` for the same catalog entry.
 """
 
 import json
@@ -143,16 +143,6 @@ class TestSingleFlightCoalescing:
 
 
 class TestShardMigration:
-    def test_legacy_flat_cell_is_read_through(self, tmp_path):
-        """A cell written by the old flat layout still hits."""
-        job = build_jobs("x", [3], "series", [4], n_trials=2, seed=1)[0]
-        legacy = tmp_path / f"{job.digest}.json"
-        legacy.write_text(json.dumps([1.5, 2.5]))
-        cache = ResultCache(tmp_path)
-        assert cache.get(job) == [1.5, 2.5]
-        assert (cache.hits, cache.misses) == (1, 0)
-        assert cache.read_values(job.digest) == [1.5, 2.5]
-
     def test_new_cells_land_in_shards(self, tmp_path):
         """Writes go to the two-hex-prefix shard, reads find them."""
         job = build_jobs("x", [3], "series", [4], n_trials=2, seed=1)[0]
@@ -162,52 +152,33 @@ class TestShardMigration:
         assert shard_file.is_file()
         assert not (tmp_path / f"{job.digest}.json").exists()
         assert cache.get(job) == [9.0, 8.0]
+        # A top-level <digest>.json is neither read nor listed.
+        other = build_jobs("x", [5], "series", [4], n_trials=2, seed=1)[0]
+        (tmp_path / f"{other.digest}.json").write_text(json.dumps([1.5, 2.5]))
+        assert cache.get(other) is None
+        assert cache.read_values(other.digest) is None
+        assert [path.stem for path in cache.iter_cells()] == [job.digest]
 
     def test_iter_cells_walks_both_layouts(self, tmp_path):
-        """Shard files and legacy flat files are both enumerated once."""
+        """Every sharded cell file is enumerated exactly once."""
         jobs = build_jobs("x", [1, 2], "series", [3], n_trials=1, seed=0)
         cache = ResultCache(tmp_path)
-        cache.put(jobs[0], [1.0])
-        legacy = tmp_path / f"{jobs[1].digest}.json"
-        legacy.write_text(json.dumps([2.0]))
+        for job in jobs:
+            cache.put(job, [1.0])
         stems = sorted(path.stem for path in cache.iter_cells())
         assert stems == sorted(job.digest for job in jobs)
 
-    def test_grid_rerun_after_migration_recomputes_nothing(self, tmp_path):
-        """A warm flat-layout cache keeps a sharded rerun at zero work."""
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        solo = run_grid(_counting_point, "x", [1, 2], "series", [5],
-                        n_trials=2, seed=3, code_tag="")
-        first = ResultCache(cache_dir)
-        run_grid(_counting_point, "x", [1, 2], "series", [5],
-                 n_trials=2, seed=3, cache=first, code_tag="")
-        # Flatten the shard layout back to the legacy one by hand.
-        for cell in list(first.iter_cells()):
-            cell.replace(cache_dir / cell.name)
-        for shard in [p for p in cache_dir.iterdir() if p.is_dir()]:
-            shard.rmdir()
-        _reset_calls()
-        second = ResultCache(cache_dir)
-        result = run_grid(_counting_point, "x", [1, 2], "series", [5],
-                          n_trials=2, seed=3, cache=second, code_tag="")
-        assert _CALLS["n"] == 0
-        assert (second.hits, second.misses) == (2, 0)
-        assert result.series == solo.series
-
     def test_scan_and_prune_cover_both_layouts(self, tmp_path):
-        """cache stats / prune see (and delete) cells wherever they live."""
+        """cache stats / prune see (and delete) sharded orphan cells."""
         core = ServiceCore()
-        flat = tmp_path / ("0" * 32 + ".json")
-        flat.write_text("[1.0]")
         shard = tmp_path / "ff"
         shard.mkdir()
         sharded = shard / ("f" * 32 + ".json")
         sharded.write_text("[2.0]")
         split = core.scan_cache(tmp_path, set())
-        assert len(split["orphaned"]) == 2
+        assert split["orphaned"] == [sharded]
         core.prune_cache(tmp_path, set())
-        assert not flat.exists() and not sharded.exists()
+        assert not sharded.exists()
 
 
 class TestRunIdParity:
