@@ -130,8 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      default=os.environ.get("REPRO_FLEET_BROKER") or None,
                      help="socket broker address for --executor fleet: "
                           "cells are computed by real `python -m repro "
-                          "fleet-worker` processes instead of the "
-                          "in-process simulation (default: "
+                          "fleet-worker` processes instead of worker "
+                          "threads on a loopback broker (default: "
                           "$REPRO_FLEET_BROKER)")
     run.add_argument("--results-dir", default=None, metavar="DIR",
                      help="where to write the bench results table and run "

@@ -326,6 +326,24 @@ class SerialExecutor:
             yield _execute_payload(payload)
 
 
+def _require_picklable(point: PointFn, executor: str) -> None:
+    """Refuse a point function ``executor`` cannot ship to its workers.
+
+    The process pool and the fleet both pickle every payload; checking
+    up front turns a closure's raw ``PicklingError`` deep in a pool or
+    socket call into one clear error.
+    """
+    try:
+        pickle.dumps(point)
+    except Exception as exc:
+        raise TypeError(
+            f"the {executor} executor needs a picklable point function — "
+            "a module-level function or a Scenario/PointSpec dataclass "
+            "(repro.evaluation.scenarios), not a closure or lambda; "
+            "use executor='serial' or 'thread' for closure-based "
+            "points") from exc
+
+
 class ProcessExecutor:
     """Fans jobs out over a :class:`ProcessPoolExecutor` worker pool.
 
@@ -355,16 +373,7 @@ class ProcessExecutor:
         """Yield each cell's trial values as the worker pool streams them."""
         if not payloads:
             return
-        point = payloads[0][0]
-        try:
-            pickle.dumps(point)
-        except Exception as exc:
-            raise TypeError(
-                "the process executor needs a picklable point function — "
-                "a module-level function or a Scenario/PointSpec dataclass "
-                "(repro.evaluation.scenarios), not a closure or lambda; "
-                "use executor='serial' or 'thread' for closure-based "
-                "points") from exc
+        _require_picklable(payloads[0][0], "process")
         # Yield results as pool.map streams them (in submission order) so
         # the caller can cache completed cells before a later one fails;
         # the pool stays open for exactly as long as the generator runs.
@@ -416,11 +425,12 @@ def get_executor(executor: ExecutorLike = "serial",
     """Resolve an executor spec to an executor instance.
 
     ``executor`` is ``"serial"``, ``"thread"``, ``"process"``,
-    ``"fleet"`` (the work-queue executor of :mod:`repro.fleet`, with
-    ``max_workers`` as its pool size), or any object with a
-    ``run(payloads)`` method (returned unchanged).  ``chunksize`` only
-    applies to the process pool — threads share the interpreter, so
-    there is nothing to amortise.
+    ``"fleet"`` (the work-queue executor of :mod:`repro.fleet`: a
+    loopback broker with ``max_workers`` worker threads, or the
+    networked broker named by ``REPRO_FLEET_BROKER``), or any object
+    with a ``run(payloads)`` method (returned unchanged).  ``chunksize``
+    only applies to the process pool — threads share the interpreter,
+    so there is nothing to amortise.
     """
     if isinstance(executor, str):
         if executor == "serial":
@@ -438,7 +448,7 @@ def get_executor(executor: ExecutorLike = "serial",
                 kwargs["n_workers"] = max_workers
             # REPRO_FLEET_BROKER routes env-selected fleet runs (the
             # bench suite under REPRO_BENCH_EXECUTOR=fleet, spec runs)
-            # to a networked broker instead of the simulation.
+            # to a networked broker instead of a loopback one.
             broker = os.environ.get("REPRO_FLEET_BROKER")
             if broker:
                 kwargs["broker"] = broker

@@ -4,15 +4,16 @@ One coordinator, :class:`~repro.fleet.executor.FleetExecutor`, enqueues
 digest-addressed :class:`~repro.evaluation.TrialJob` cells onto a
 broker; workers lease, heartbeat, compute, and complete them with their
 values, and the coordinator settles the run by reading every cell back
-from the broker.  Lost workers, lost completions, and duplicated
-deliveries are absorbed by protocol — lease expiry, capped-exponential
-requeue, bounded retries, dead letters, idempotent completion.
+from the broker.  Lost workers and lost completions are absorbed by
+protocol — lease expiry, capped-exponential requeue, bounded retries,
+dead letters, idempotent completion.
 
-Without a broker address the workers are simulated on a virtual clock
-under a seeded fault schedule, so every failure mode is exercised
-deterministically in tier-1 tests; with ``FleetOptions.broker`` the
-same coordinator drives a socket broker and real worker processes
-(:mod:`repro.fleet.net`).  Broker death itself is recoverable through
+There is one worker loop, :class:`~repro.fleet.net.FleetWorker`
+(:mod:`repro.fleet.net`).  Without a broker address each run starts a
+loopback broker server and runs that loop on ``n_workers`` threads
+under a seeded :class:`~repro.fleet.faults.FaultSchedule`; with
+``FleetOptions.broker`` the same coordinator drives a socket broker
+and real worker processes.  Broker death itself is recoverable through
 the write-ahead :class:`~repro.fleet.journal.Journal`: every mutation
 is logged before it is applied and
 :func:`~repro.fleet.journal.replay_journal` rebuilds the broker
@@ -31,7 +32,6 @@ from .broker import (
     InProcessBroker,
     Lease,
 )
-from .clock import ManualClock
 from .executor import (
     FleetError,
     FleetExecutor,
@@ -57,7 +57,6 @@ __all__ = [
     "JournalError",
     "LEASED",
     "Lease",
-    "ManualClock",
     "QUEUED",
     "read_journal",
     "replay_journal",

@@ -5,8 +5,8 @@ The broker is the fleet's only shared state.  A coordinator
 :meth:`~InProcessBroker.lease` them, :meth:`~InProcessBroker.heartbeat`
 while computing, and :meth:`~InProcessBroker.complete` when done.  Time
 never flows inside the broker — every method takes an explicit ``now``,
-so the same state machine runs against wall clocks in production and a
-:class:`~repro.fleet.clock.ManualClock` in the deterministic harness.
+so the same state machine runs against the wall clock in every fleet
+and against scripted instants in the state-machine tests.
 
 Task lifecycle::
 
@@ -25,18 +25,19 @@ Fault tolerance is structural, not aspirational:
   with capped exponential backoff (:class:`~repro.fleet.backoff.BackoffPolicy`);
 * retries are bounded — exhaustion produces a :class:`DeadLetter`
   instead of an infinite loop;
-* completion is idempotent — a second completion of a DONE task (late
-  arrival after a lease expiry, or a duplicated delivery) is counted
-  and ignored, which is safe *because* tasks are digest-addressed:
-  any two completions of one key carry bit-identical values.
+* completion is idempotent — a second completion of a DONE task (a
+  straggler whose lease expired and was redelivered, or a resent
+  completion) is counted and ignored, which is safe *because* tasks
+  are digest-addressed: any two completions of one key carry
+  bit-identical values.
 
-Anything satisfying this method contract (enqueue/lease/heartbeat/
-complete/fail/expire, the ``state``/``result``/``outstanding``
-observers, ``dead_letters``/``counters``, and ``close``) can replace
-:class:`InProcessBroker`: the networked
-:class:`~repro.fleet.net.SocketBroker` does, and a redis- or ray-backed
-broker would slot in behind the same
-:class:`~repro.fleet.executor.FleetExecutor`.
+The method contract (enqueue/lease/heartbeat/complete/fail/expire, the
+``state``/``result``/``outstanding`` observers, and
+``dead_letters``/``counters``) is what
+:class:`~repro.fleet.net.BrokerServer` serves and
+:class:`~repro.fleet.net.SocketBroker` mirrors over the wire, so a
+redis- or ray-backed broker honouring it would slot in behind the same
+server.
 
 Crash safety is opt-in: pass a :class:`~repro.fleet.journal.Journal`
 and every successful mutation is appended to the write-ahead log
@@ -74,8 +75,7 @@ class Lease:
     """One delivery of one task to one worker.
 
     ``attempt`` is the 0-based retry index of the task at delivery
-    time; a duplicated delivery shares its original's attempt number
-    (it is the *same* attempt arriving twice, not a retry).
+    time.
     """
 
     lease_id: int
@@ -115,12 +115,12 @@ class _Task:
 
 
 class InProcessBroker:
-    """A single-process, dict-backed broker for the simulated fleet.
+    """A single-process, dict-backed broker: the fleet's state machine.
 
-    Not thread-safe by design: the deterministic harness drives it from
-    one coordinator loop.  (A shared-memory multi-threaded deployment
-    would wrap calls in a lock; a networked one would replace the class
-    entirely — the protocol, not the implementation, is the contract.)
+    Not thread-safe by design: :class:`~repro.fleet.net.BrokerServer`
+    serves one instance to every coordinator and worker connection and
+    serialises their calls under one lock, and the state-machine tests
+    drive it from one thread.
     """
 
     def __init__(self, *, lease_timeout: float = 5.0, max_attempts: int = 3,
@@ -147,7 +147,7 @@ class InProcessBroker:
         self._next_lease = 0
         self.dead_letters: List[DeadLetter] = []
         self.counters: Dict[str, int] = {
-            "enqueued": 0, "leased": 0, "duplicated": 0, "heartbeats": 0,
+            "enqueued": 0, "leased": 0, "heartbeats": 0,
             "completed": 0, "duplicates": 0, "late": 0, "expired": 0,
             "retried": 0, "dead": 0,
         }
@@ -187,36 +187,17 @@ class InProcessBroker:
                 self._record("lease", now=now)
                 task.state = LEASED
                 task.attempts += 1
-                return self._deliver(task, now, task.attempts - 1, "leased")
+                lease_id = self._next_lease
+                self._next_lease += 1
+                deadline = now + self.lease_timeout
+                task.leases[lease_id] = deadline
+                task.history.append(lease_id)
+                self._lease_owner[lease_id] = task.key
+                self.counters["leased"] += 1
+                return Lease(lease_id=lease_id, key=key,
+                             attempt=task.attempts - 1, deadline=deadline,
+                             payload=task.payload)
         return None
-
-    def duplicate_lease(self, key: str, now: float) -> Optional[Lease]:
-        """Fault-injection hook: deliver a LEASED task a second time.
-
-        Models an at-least-once broker re-delivering a message that was
-        not lost.  The twin lease shares the original's attempt number
-        — it is not a retry — so two workers race to complete the same
-        attempt and the loser's completion must be absorbed as a
-        duplicate.
-        """
-        task = self._tasks.get(key)
-        if task is None or task.state != LEASED:
-            return None
-        self._record("duplicate_lease", key=key, now=now)
-        return self._deliver(task, now, task.attempts - 1, "duplicated")
-
-    def _deliver(self, task: _Task, now: float, attempt: int,
-                 counter: str) -> Lease:
-        """Create and register one lease on ``task``."""
-        lease_id = self._next_lease
-        self._next_lease += 1
-        deadline = now + self.lease_timeout
-        task.leases[lease_id] = deadline
-        task.history.append(lease_id)
-        self._lease_owner[lease_id] = task.key
-        self.counters[counter] += 1
-        return Lease(lease_id=lease_id, key=task.key, attempt=attempt,
-                     deadline=deadline, payload=task.payload)
 
     def heartbeat(self, lease_id: int, now: float) -> bool:
         """Extend a live lease to ``now + lease_timeout``.
@@ -263,8 +244,8 @@ class InProcessBroker:
 
         ``values`` (and ``elapsed``) ship the computed cell through the
         broker: the first completion pins them, a :meth:`result` query
-        reads them back.  Every fleet worker, simulated or networked,
-        passes them — the broker is the only channel to the coordinator.
+        reads them back.  Every fleet worker passes them — the broker is
+        the only channel to the coordinator.
 
         Returns one of:
 
@@ -273,8 +254,8 @@ class InProcessBroker:
           expired (the task was in flight again).  Accepted anyway:
           digest-addressed values are deterministic, so the late result
           equals whatever a retry would have produced;
-        * ``"duplicate"`` — the task was already DONE (a twin delivery
-          or an even later straggler).  Counted and ignored.
+        * ``"duplicate"`` — the task was already DONE (a resent
+          completion or an even later straggler).  Counted and ignored.
         """
         key = self._resolve_owner(lease_id)
         # Even an absorbed duplicate mutates a counter, so every
@@ -431,16 +412,3 @@ class InProcessBroker:
             "dead_letters": [(letter.key, letter.attempts, letter.reason)
                              for letter in self.dead_letters],
         }
-
-    def close(self) -> None:
-        """Release transport resources: nothing to release in process."""
-
-    def next_eligible(self) -> Optional[float]:
-        """The earliest ``not_before`` among queued tasks, or ``None``.
-
-        Lets the coordinator jump virtual time straight to the next
-        backoff release instead of spinning ticks.
-        """
-        holds = [t.not_before for t in self._tasks.values()
-                 if t.state == QUEUED]
-        return min(holds) if holds else None

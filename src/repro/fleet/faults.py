@@ -1,19 +1,13 @@
-"""Seeded, deterministic fault schedules for the fleet test harness.
+"""Seeded, deterministic fault schedules for fleet workers.
 
 A :class:`FaultSchedule` decides, for every (job digest, attempt)
-event, whether the harness injects one of the fleet's four failure
-modes:
+event, whether a :class:`~repro.fleet.net.FleetWorker` injects one of
+the fleet's two worker failure modes:
 
-* **kill** — the worker dies mid-job; its computed values are
-  discarded and its lease is left to expire on the clock.
+* **kill** — the worker dies mid-job before computing; its lease is
+  left to expire on the clock.
 * **drop** — the worker finishes but its completion message is lost;
   the lease expires and the job is retried.
-* **duplicate** — the broker delivers the job to a second worker as
-  well, so two completions race (the second must be a harmless
-  duplicate: cells are digest-addressed).
-* **delay** — the worker's heartbeats are suppressed for the attempt,
-  so a long job's lease expires mid-compute and a *late* completion
-  arrives after the job was already requeued.
 
 Decisions are pure functions of ``(seed, kind, digest, attempt)`` via
 :func:`hashlib.blake2b` — never a global RNG — so a schedule replays
@@ -49,25 +43,19 @@ class FaultSchedule:
     seed: int = 0
     kill_rate: float = 0.0
     drop_rate: float = 0.0
-    duplicate_rate: float = 0.0
-    delay_rate: float = 0.0
     #: Forced faults at exact ``(digest, attempt)`` coordinates.
     kill: FrozenSet[Tuple[str, int]] = field(default_factory=frozenset)
     drop: FrozenSet[Tuple[str, int]] = field(default_factory=frozenset)
-    delay: FrozenSet[Tuple[str, int]] = field(default_factory=frozenset)
-    #: Forced duplicate delivery on a digest's first dispatch.
-    duplicate: FrozenSet[str] = field(default_factory=frozenset)
     #: Digests killed on *every* attempt — guaranteed dead letters.
     poison: FrozenSet[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
         """Validate rates and freeze the forced-fault sets."""
-        for name in ("kill_rate", "drop_rate", "duplicate_rate",
-                     "delay_rate"):
+        for name in ("kill_rate", "drop_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        for name in ("kill", "drop", "delay", "duplicate", "poison"):
+        for name in ("kill", "drop", "poison"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def _coin(self, kind: str, digest: str, attempt: int,
@@ -89,14 +77,3 @@ class FaultSchedule:
         """Should this attempt's completion message be lost?"""
         return ((digest, attempt) in self.drop
                 or self._coin("drop", digest, attempt, self.drop_rate))
-
-    def duplicate_delivery(self, digest: str, attempt: int) -> bool:
-        """Should the broker dispatch this attempt to two workers?"""
-        return ((attempt == 0 and digest in self.duplicate)
-                or self._coin("duplicate", digest, attempt,
-                              self.duplicate_rate))
-
-    def delay_heartbeat(self, digest: str, attempt: int) -> bool:
-        """Should the worker's heartbeats be suppressed this attempt?"""
-        return ((digest, attempt) in self.delay
-                or self._coin("delay", digest, attempt, self.delay_rate))

@@ -69,8 +69,8 @@ JOURNAL_VERSION = 1
 FSYNC_POLICIES = ("always", "never")
 
 #: The mutating broker ops a journal may contain (beyond ``config``).
-MUTATION_OPS = ("enqueue", "lease", "duplicate_lease", "heartbeat",
-                "complete", "fail", "expire")
+MUTATION_OPS = ("enqueue", "lease", "heartbeat", "complete", "fail",
+                "expire")
 
 
 class JournalError(ReproError, RuntimeError):
@@ -277,8 +277,6 @@ def apply_record(broker: InProcessBroker, op: str,
         broker.enqueue(args["key"], decode_payload(args.get("payload")))
     elif op == "lease":
         broker.lease(args["now"])
-    elif op == "duplicate_lease":
-        broker.duplicate_lease(args["key"], args["now"])
     elif op == "heartbeat":
         broker.heartbeat(args["lease_id"], args["now"])
     elif op == "complete":

@@ -1,13 +1,12 @@
 """``SocketBroker`` — the broker method contract over a TCP connection.
 
 A drop-in for :class:`~repro.fleet.broker.InProcessBroker`: same
-methods, same signatures, same return shapes, same exceptions.  That is
-what lets the one coordinator,
-:class:`~repro.fleet.executor.FleetExecutor`, settle a networked run
-exactly as it settles a simulated one (it builds a reset
-``SocketBroker`` itself when ``FleetOptions.broker`` is set, and tests
-hand its simulation one through ``broker_factory``), and what lets the
-broker contract tests run verbatim against the socket.
+methods, same signatures, same return shapes, same exceptions.  It is
+the only way the coordinator,
+:class:`~repro.fleet.executor.FleetExecutor`, and every
+:class:`~repro.fleet.net.FleetWorker` talk to a broker — the loopback
+one of an in-process fleet or a networked one — and it is what lets
+the broker contract tests run verbatim against the socket.
 
 The client is thread-safe (one lock around each request/response
 exchange) so a worker's heartbeat thread can share its compute loop's
@@ -193,12 +192,6 @@ class SocketBroker:
         return None if wire_form is None else protocol.lease_from_wire(
             wire_form)
 
-    def duplicate_lease(self, key: str, now: float) -> Optional[Lease]:
-        """Mirror :meth:`InProcessBroker.duplicate_lease`."""
-        wire_form = self.call("duplicate_lease", key=key, now=now)
-        return None if wire_form is None else protocol.lease_from_wire(
-            wire_form)
-
     def heartbeat(self, lease_id: int, now: float) -> bool:
         """Mirror :meth:`InProcessBroker.heartbeat`."""
         return self.call("heartbeat", lease_id=lease_id, now=now)
@@ -233,10 +226,6 @@ class SocketBroker:
     def outstanding(self) -> int:
         """Mirror :meth:`InProcessBroker.outstanding`."""
         return self.call("outstanding")
-
-    def next_eligible(self) -> Optional[float]:
-        """Mirror :meth:`InProcessBroker.next_eligible`."""
-        return self.call("next_eligible")
 
     @property
     def counters(self) -> Dict[str, int]:

@@ -2,9 +2,9 @@
 
 Every broker method maps to exactly one operation — the wire mirrors
 the :class:`~repro.fleet.broker.InProcessBroker` method contract
-verbatim, explicit ``now`` included, so the protocol runs against wall
-clocks in production and virtual clocks in the deterministic harness
-without a special case on either side.
+verbatim, explicit ``now`` included, so the protocol runs against the
+wall clock in every fleet and against scripted instants in the
+contract tests without a special case on either side.
 
 Framing is one JSON object per ``\\n``-terminated line (UTF-8, no
 embedded newlines — :func:`json.dumps` guarantees that).  Requests are

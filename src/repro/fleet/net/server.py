@@ -4,16 +4,16 @@ One :class:`~repro.fleet.broker.InProcessBroker` (which is not
 thread-safe by design) guarded by one lock, served to any number of
 coordinator and worker connections by a
 :class:`socketserver.ThreadingTCPServer`.  Every wire operation maps to
-one broker method call under the lock, so the networked fleet inherits
-the state machine — and the fault-tolerance proofs pinned by the
-in-process tests — unchanged.
+one broker method call under the lock, so every fleet — the loopback
+one ``--executor fleet`` starts per run, and a networked one — inherits
+the state machine and the broker-level tests unchanged.
 
 The server is deliberately clock-free, exactly like the broker it
 wraps: every time-dependent operation carries the caller's ``now``.
-Real deployments send ``time.time()`` (the protocol assumes loosely
-NTP-synchronised hosts; lease timeouts are seconds, not microseconds),
-and the deterministic harness sends virtual instants — the server
-cannot tell the difference.
+Coordinators and workers send ``time.time()`` (the protocol assumes
+loosely NTP-synchronised hosts; lease timeouts are seconds, not
+microseconds), and the contract tests send scripted instants — the
+server cannot tell the difference.
 
 A ``reset`` operation atomically replaces the broker with a fresh one
 configured by the caller (lease policy and backoff travel as plain
@@ -170,9 +170,15 @@ class BrokerServer:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "BrokerServer":
-        """Serve on a background thread; returns self for chaining."""
+        """Serve on a background thread; returns self for chaining.
+
+        The accept loop wakes every 50 ms (``socketserver`` defaults to
+        500), so :meth:`stop` — once per in-process fleet run — returns
+        promptly.
+        """
         self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="repro-broker", daemon=True)
+                                        args=(0.05,), name="repro-broker",
+                                        daemon=True)
         self._thread.start()
         return self
 
@@ -235,9 +241,6 @@ class BrokerServer:
             if op == "lease":
                 lease = broker.lease(args["now"])
                 return None if lease is None else protocol.lease_to_wire(lease)
-            if op == "duplicate_lease":
-                lease = broker.duplicate_lease(args["key"], args["now"])
-                return None if lease is None else protocol.lease_to_wire(lease)
             if op == "heartbeat":
                 return broker.heartbeat(args["lease_id"], args["now"])
             if op == "complete":
@@ -255,8 +258,6 @@ class BrokerServer:
                 return protocol.result_to_wire(broker.result(args["key"]))
             if op == "outstanding":
                 return broker.outstanding()
-            if op == "next_eligible":
-                return broker.next_eligible()
             if op == "counters":
                 # ``replayed`` rides along without living in the broker's
                 # counters dict: recovery provenance for stats surfaces,

@@ -1,7 +1,7 @@
 """Networked-fleet smoke: ``PYTHONPATH=src python -m repro.fleet.net.smoke``.
 
 The acceptance gate for the socket tier, with *real* processes — no
-threads standing in for workers, no simulated clock:
+threads standing in for workers:
 
 * a broker subprocess (``python -m repro broker --port 0``);
 * two worker subprocesses (``python -m repro fleet-worker``), the first

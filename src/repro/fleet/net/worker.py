@@ -1,14 +1,12 @@
-"""``python -m repro fleet-worker`` — a real leased worker process.
+"""``python -m repro fleet-worker`` — the fleet's one worker loop.
 
-The worker loop is the production twin of the simulated
-:class:`~repro.fleet.executor._Worker`: lease a digest-keyed cell from
-the socket broker, heartbeat on the wall clock while computing, execute
-through the *unchanged* engine job path
+Lease a digest-keyed cell from the socket broker, heartbeat on the wall
+clock while computing, execute through the *unchanged* engine job path
 (:func:`~repro.evaluation.engine._execute_payload` — the same function
 every local executor calls), and complete back with the trial values.
 The broker is the worker's only channel: the coordinator
-(:class:`~repro.fleet.executor.FleetExecutor` with a broker address)
-reads the values back from it once the run settles.
+(:class:`~repro.fleet.executor.FleetExecutor`) reads the values back
+from it once the run settles.
 Because each :class:`~repro.evaluation.TrialJob` carries its own seed
 material, a cell computed on any worker on any machine is bit-identical
 to a serial run of the same grid.
@@ -18,12 +16,15 @@ leased cell already present locally completes instantly, and a bounded
 :class:`~repro.evaluation.EvictionPolicy` keeps long-lived workers from
 growing without bound while baseline-pinned digests stay put.
 
-The same :class:`~repro.fleet.faults.FaultSchedule` that drives the
-deterministic harness drives *real* chaos here: a scheduled kill is
-``os._exit`` mid-lease (the process dies, heartbeats stop, the broker
-reaps the lease), a scheduled drop discards the completion message.
-CI uses forced ``(digest, attempt)`` coordinates to murder exactly one
-worker per run and still demand a bit-identical record.
+The same loop runs as a process (``repro fleet-worker``) and on the
+threads of an in-process ``--executor fleet`` run, which starts a
+loopback broker per run.  A :class:`~repro.fleet.faults.FaultSchedule`
+drives chaos in both: a scheduled kill is ``os._exit`` mid-lease in a
+process (heartbeats stop, the broker reaps the lease) and a no-op
+``on_kill`` on a thread, which abandons the lease and re-enters the
+loop; a scheduled drop discards the completion message.  CI uses
+forced ``(digest, attempt)`` coordinates to murder exactly one worker
+per run and still demand a bit-identical record.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class FleetWorker:
     """One worker: lease, heartbeat, compute, complete — until idle.
 
     ``on_kill`` is the fault-injection death hook: the CLI worker uses
-    ``os._exit`` (a real process death, mid-lease), while in-process
-    tests substitute a soft stop so a "killed" worker thread simply
+    ``os._exit`` (a real process death, mid-lease), while worker
+    threads substitute a soft stop so :meth:`run` returns and simply
     abandons its lease — indistinguishable from death as far as the
     broker is concerned.
     """

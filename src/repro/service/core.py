@@ -25,7 +25,7 @@ Everything above it — :mod:`repro.cli`, ``benchmarks/_common``, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -175,10 +175,7 @@ class ServiceCore:
         recorder = bench_recorder(definition, executor=executor, full=full)
         # One fleet instance spans every panel of the run, so its
         # counters and dead letters describe exactly this record.
-        # ``fleet.broker`` picks the transport: the in-process
-        # simulation, or a socket broker with real workers.
-        runner = (FleetExecutor(self.fleet)
-                  if executor == "fleet" else None)
+        runner = self._fleet_runner(executor, max_workers)
         blocks, panels = [], []
         for panel in definition.panels:
             series = panel.run(executor=runner if runner is not None
@@ -195,6 +192,22 @@ class ServiceCore:
         return BenchRun(definition=definition, record=recorder.finalize(),
                         blocks=tuple(blocks), panels=tuple(panels))
 
+    def _fleet_runner(self, executor: str, max_workers: Optional[int]
+                      ) -> Optional[FleetExecutor]:
+        """A fresh fleet for one run (``None`` off the fleet executor).
+
+        ``max_workers`` sizes the pool, as it does for
+        ``get_executor("fleet")``; ``fleet.broker`` picks a loopback
+        broker with worker threads, or a socket broker with real
+        workers.
+        """
+        if executor != "fleet":
+            return None
+        options = self.fleet
+        if max_workers is not None:
+            options = replace(options, n_workers=max_workers)
+        return FleetExecutor(options)
+
     def run_spec(self, spec: ExperimentSpec, *, executor: str = "serial",
                  n_trials: Optional[int] = None,
                  max_workers: Optional[int] = None) -> SpecRun:
@@ -204,8 +217,7 @@ class ServiceCore:
                                result_stem=spec.name, executor=executor,
                                full=False)
         cells, on_cell = cell_capture()
-        runner = (FleetExecutor(self.fleet)
-                  if executor == "fleet" else None)
+        runner = self._fleet_runner(executor, max_workers)
         result = spec.run(executor=runner if runner is not None else executor,
                           cache=self.cache, n_trials=n_trials,
                           max_workers=max_workers, flight=self.flight,

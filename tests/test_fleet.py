@@ -2,19 +2,24 @@
 
 The tentpole guarantees under test: the work-queue executor is
 bit-identical to the serial executor — including under injected worker
-kills, dropped completions, suppressed heartbeats, and duplicated
-deliveries — because jobs are digest-addressed and completion is
-idempotent; a lease that misses its heartbeats is requeued with capped
-exponential backoff; bounded retries end in a dead letter that the run
-record surfaces and ``repro diff`` classifies as value drift (exit 1),
-never as a corrupt record (exit 3).
+kills and dropped completions — because jobs are digest-addressed and
+completion is idempotent; a lease that misses its heartbeats is
+requeued with capped exponential backoff; bounded retries end in a dead
+letter that the run record surfaces and ``repro diff`` classifies as
+value drift (exit 1), never as a corrupt record (exit 3).
 
-Everything here runs on virtual time (:class:`repro.fleet.ManualClock`):
-a "5 second" lease expires in microseconds of wall clock, on an exactly
-reproducible tick.
+The broker state machine is driven with explicit instants, so its tests
+are exact.  Executor runs use the in-process fleet — a loopback broker
+server and worker threads on the wall clock — with half-second leases
+(:data:`FAST`), so they assert invariants (values, settled counts,
+faults visibly absorbed) rather than exact counts, which depend on
+thread timing.
 """
 
+import gc
 import json
+import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -34,7 +39,6 @@ from repro.fleet import (
     FleetOptions,
     FleetStats,
     InProcessBroker,
-    ManualClock,
 )
 from repro.results import diff_records, load_record, save_record
 from repro.service import ServiceCore
@@ -44,6 +48,16 @@ BASELINES = REPO_ROOT / "benchmarks" / "baselines"
 
 #: One panel, five cells at laptop scale — cheap enough to compute live.
 CHEAP_BENCH = "ablation_truncation_threshold"
+
+#: Wall-clock-fast fleet: a killed worker's lease expires in half a
+#: second, retries release almost at once, and idle loops poll often.
+FAST = dict(lease_timeout=0.5, heartbeat_interval=0.15, poll_interval=0.02,
+            backoff=BackoffPolicy(base=0.05, cap=0.2))
+
+
+def _fast(**overrides):
+    """:data:`FAST` fleet options, with per-test overrides."""
+    return FleetOptions(**{**FAST, **overrides})
 
 
 def _fleet_point(series, x, rng):
@@ -75,19 +89,6 @@ def _run(executor):
     """The acceptance grid through any executor."""
     return run_grid(_fleet_point, "x", X_VALUES, "series", SERIES_VALUES,
                     n_trials=N_TRIALS, seed=GRID_SEED, executor=executor)
-
-
-class TestManualClock:
-    def test_advance_moves_time_and_sleep_never_blocks(self):
-        clock = ManualClock(start=5.0)
-        assert clock.now() == 5.0
-        assert clock.advance(2.5) == 7.5
-        clock.sleep(60.0)  # a wall-clock minute, instantly
-        assert clock.now() == 67.5
-
-    def test_time_is_monotonic_by_contract(self):
-        with pytest.raises(ValueError):
-            ManualClock().advance(-0.1)
 
 
 class TestBackoffPolicy:
@@ -136,15 +137,11 @@ class TestFaultSchedule:
         quiet = FaultSchedule()
         assert not any(quiet.kill_worker(f"d{i}", a)
                        or quiet.drop_completion(f"d{i}", a)
-                       or quiet.duplicate_delivery(f"d{i}", a)
-                       or quiet.delay_heartbeat(f"d{i}", a)
                        for i in range(20) for a in range(3))
 
     def test_decisions_replay_bit_for_bit(self):
-        a = FaultSchedule(seed=9, kill_rate=0.3, drop_rate=0.3,
-                          duplicate_rate=0.3, delay_rate=0.3)
-        b = FaultSchedule(seed=9, kill_rate=0.3, drop_rate=0.3,
-                          duplicate_rate=0.3, delay_rate=0.3)
+        a = FaultSchedule(seed=9, kill_rate=0.3, drop_rate=0.3)
+        b = FaultSchedule(seed=9, kill_rate=0.3, drop_rate=0.3)
         events = [(f"digest{i}", attempt)
                   for i in range(50) for attempt in range(3)]
         assert ([a.kill_worker(d, t) for d, t in events]
@@ -155,13 +152,12 @@ class TestFaultSchedule:
         assert any(a.kill_worker(d, t) for d, t in events)
 
     def test_scripted_sets_force_exact_coordinates(self):
-        plan = FaultSchedule(kill={("cell", 1)}, duplicate={"twin"},
+        plan = FaultSchedule(kill={("cell", 1)}, drop={("lost", 0)},
                              poison={"cursed"})
         assert not plan.kill_worker("cell", 0)
         assert plan.kill_worker("cell", 1)
-        # Duplicates fire on the first dispatch only.
-        assert plan.duplicate_delivery("twin", 0)
-        assert not plan.duplicate_delivery("twin", 1)
+        assert plan.drop_completion("lost", 0)
+        assert not plan.drop_completion("lost", 1)
         # Poison kills every attempt: the dead-letter guarantee.
         assert all(plan.kill_worker("cursed", attempt)
                    for attempt in range(10))
@@ -170,7 +166,14 @@ class TestFaultSchedule:
         with pytest.raises(ValueError):
             FaultSchedule(kill_rate=1.5)
         with pytest.raises(ValueError):
-            FaultSchedule(delay_rate=-0.1)
+            FaultSchedule(drop_rate=-0.1)
+
+
+def _next_eligible(broker):
+    """When the earliest backoff hold on a queued task releases."""
+    holds = [task["not_before"] for task in broker.snapshot()["tasks"].values()
+             if task["state"] == QUEUED]
+    return min(holds) if holds else None
 
 
 class TestBrokerProtocol:
@@ -223,7 +226,7 @@ class TestBrokerProtocol:
         assert broker.counters["expired"] == 1
         assert broker.counters["retried"] == 1
         # The backoff hold keeps the task off the queue...
-        hold = broker.next_eligible()
+        hold = _next_eligible(broker)
         assert hold == 5.0 + broker.backoff.delay("a", 0)
         assert broker.lease(now=hold - 0.5) is None
         # ...and the retry is a fresh attempt.
@@ -238,7 +241,7 @@ class TestBrokerProtocol:
         broker.enqueue("a")
         first = broker.lease(now=0.0)
         broker.expire(now=5.0)
-        hold = broker.next_eligible()
+        hold = _next_eligible(broker)
         second = broker.lease(now=hold)
         # The original worker finally reports in: accepted as late.
         assert broker.complete(first.lease_id, now=hold + 1) == "late"
@@ -256,7 +259,7 @@ class TestBrokerProtocol:
         for _ in range(2):
             broker.lease(now)
             broker.expire(now + 5.0)
-            eligible = broker.next_eligible()
+            eligible = _next_eligible(broker)
             now = eligible if eligible is not None else now + 5.0
         assert broker.state("a") == DEAD
         assert broker.outstanding() == 0
@@ -273,24 +276,10 @@ class TestBrokerProtocol:
         lease = broker.lease(now=0.0)
         assert broker.fail(lease.lease_id, now=1.0, reason="oom") == "requeued"
         assert broker.state("a") == QUEUED
-        retry = broker.lease(now=broker.next_eligible())
+        retry = broker.lease(now=_next_eligible(broker))
         broker.complete(retry.lease_id, now=10.0)
         # Failing a finished task is a no-op.
         assert broker.fail(retry.lease_id, now=11.0) == "ignored"
-
-    def test_duplicate_lease_shares_the_attempt_number(self):
-        """A twin delivery is the same attempt arriving twice."""
-        broker = self._broker()
-        broker.enqueue("a")
-        assert broker.duplicate_lease("a", now=0.0) is None  # still QUEUED
-        original = broker.lease(now=0.0)
-        twin = broker.duplicate_lease("a", now=1.0)
-        assert twin.attempt == original.attempt == 0
-        assert twin.lease_id != original.lease_id
-        assert broker.counters["duplicated"] == 1
-        assert broker.complete(twin.lease_id, now=2.0) == "completed"
-        assert broker.complete(original.lease_id, now=3.0) == "duplicate"
-        assert broker.duplicate_lease("a", now=4.0) is None  # DONE now
 
     def test_constructor_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -307,7 +296,7 @@ class TestBrokerProtocol:
         broker.enqueue("a")
         broker.lease(now=0.0)
         broker.expire(now=5.0)
-        retry = broker.lease(now=broker.next_eligible())
+        retry = broker.lease(now=_next_eligible(broker))
         assert broker.complete(retry.lease_id, now=20.0) == "completed"
         # "b": exhausts its retries into a dead letter.
         broker.enqueue("b")
@@ -315,7 +304,7 @@ class TestBrokerProtocol:
         for _ in range(2):
             broker.lease(now)
             broker.expire(now + 5.0)
-            eligible = broker.next_eligible()
+            eligible = _next_eligible(broker)
             now = eligible if eligible is not None else now + 5.0
         assert broker.state("a") == DONE and broker.state("b") == DEAD
         assert broker.outstanding() == 0
@@ -329,7 +318,7 @@ class TestBrokerProtocol:
         broker.enqueue("a")
         first = broker.lease(now=0.0)
         broker.expire(now=5.0)
-        second = broker.lease(now=broker.next_eligible())
+        second = broker.lease(now=_next_eligible(broker))
         assert broker.complete(second.lease_id, now=20.0) == "completed"
         # The index was pruned at completion; the straggler's id is gone
         # but must still be absorbed idempotently.
@@ -349,11 +338,11 @@ class TestBrokerProtocol:
         broker.enqueue("a")
         lease = broker.lease(now=0.0)
         assert broker.result("a") is None
-        twin = broker.duplicate_lease("a", now=0.5)
         assert broker.complete(lease.lease_id, now=1.0,
                                values=[1.0, 2.0], elapsed=0.25) == "completed"
         assert broker.result("a") == ([1.0, 2.0], 0.25)
-        assert broker.complete(twin.lease_id, now=2.0,
+        # A resent completion carrying other values is absorbed.
+        assert broker.complete(lease.lease_id, now=2.0,
                                values=[9.0, 9.0], elapsed=9.0) == "duplicate"
         assert broker.result("a") == ([1.0, 2.0], 0.25)
 
@@ -371,9 +360,8 @@ class TestFleetStats:
         assert not stats.active()
         payload = stats.as_dict()
         assert set(payload) == {
-            "enqueued", "leased", "duplicated", "heartbeats", "completed",
-            "duplicates", "late", "expired", "retried", "dead", "killed",
-            "dropped", "reconnects", "replayed"}
+            "enqueued", "leased", "heartbeats", "completed", "duplicates",
+            "late", "expired", "retried", "dead", "reconnects", "replayed"}
         stats.enqueued = 1
         assert stats.active()
 
@@ -393,11 +381,19 @@ class TestEngineRegistration:
         with pytest.raises(ValueError):
             FleetOptions(n_workers=0)
         with pytest.raises(ValueError):
-            FleetOptions(tick=0.0)
-        with pytest.raises(ValueError):
             FleetOptions(max_attempts=0)
         with pytest.raises(ValueError):
             FleetOptions(dead_letter_policy="shrug")
+
+
+def _raising_point(series, x, rng):
+    """A module-level point whose every call fails."""
+    raise RuntimeError(f"point failed at x={x}")
+
+
+def _lambda_point():
+    """A point the fleet cannot ship to its workers."""
+    return lambda series, x, rng: float(series) * float(x)
 
 
 class TestFleetExecutor:
@@ -405,7 +401,7 @@ class TestFleetExecutor:
         assert FleetExecutor().run([]) == []
 
     def test_faultless_fleet_matches_serial_bit_for_bit(self):
-        executor = FleetExecutor()
+        executor = FleetExecutor(_fast())
         fleet = _run(executor)
         serial = _run("serial")
         assert fleet.series == serial.series
@@ -413,52 +409,34 @@ class TestFleetExecutor:
         assert stats.enqueued == stats.completed == 8
         assert stats.retried == stats.dead == stats.expired == 0
 
-    def test_acceptance_grid_survives_kill_drop_delay_duplicate(self):
-        """The issue's acceptance bar: 8 cells, >=1 killed worker and
-        >=1 duplicated completion, run_id-grade parity with serial."""
+    def test_acceptance_grid_survives_kill_and_drop(self):
+        """8 cells, one worker killed mid-job and one completion lost in
+        transit: both cells retry elsewhere and the grid is still
+        bit-identical to serial."""
         digests = _grid_digests()
-        probe = FleetExecutor()
-        kill_target, drop_target = digests[0], digests[1]
-        faulted = {kill_target, drop_target}
-        # Heartbeat suppression only bites cells outliving the lease.
-        long_cells = [d for d in digests if d not in faulted
-                      and probe._duration(d) > 5.0]
-        delay_target = long_cells[0] if long_cells else None
-        faulted |= {delay_target} if delay_target else set()
-        # The duplicate twin shares its original's attempt number, so a
-        # target with another scripted fault would die twice — pick the
-        # longest-running clean cell to guarantee the twin dispatches.
-        dup_target = max((d for d in digests if d not in faulted),
-                         key=probe._duration)
-        faults = FaultSchedule(
-            kill=frozenset({(kill_target, 0)}),
-            drop=frozenset({(drop_target, 0)}),
-            delay=frozenset({(delay_target, 0)} if delay_target else ()),
-            duplicate=frozenset({dup_target}))
-        executor = FleetExecutor(FleetOptions(n_workers=4, faults=faults))
+        faults = FaultSchedule(kill=frozenset({(digests[0], 0)}),
+                               drop=frozenset({(digests[1], 0)}))
+        executor = FleetExecutor(_fast(n_workers=4, faults=faults))
 
         fleet = _run(executor)
         serial = _run("serial")
 
         assert fleet.series == serial.series
         stats = executor.stats
-        assert stats.killed == 1        # a worker died mid-job
-        assert stats.dropped == 1       # a completion was lost in transit
-        assert stats.duplicated == 1    # a cell was delivered twice
-        assert stats.duplicates >= 1    # ...and the loser was absorbed
+        assert stats.completed == 8
         assert stats.retried >= 2       # kill + drop both requeued
         assert stats.expired >= 2
         assert stats.dead == 0
         assert executor.dead_letters == []
 
     def test_fleet_cells_land_in_the_cache_and_rerun_is_free(self, tmp_path):
-        first = FleetExecutor()
+        first = FleetExecutor(_fast())
         run_grid(_fleet_point, "x", X_VALUES, "series", SERIES_VALUES,
                  n_trials=N_TRIALS, seed=GRID_SEED, executor=first,
                  cache=ResultCache(tmp_path))
         assert first.stats.enqueued == 8
         warm = ResultCache(tmp_path)
-        second = FleetExecutor()
+        second = FleetExecutor(_fast())
         rerun = run_grid(_fleet_point, "x", X_VALUES, "series",
                          SERIES_VALUES, n_trials=N_TRIALS, seed=GRID_SEED,
                          executor=second, cache=warm)
@@ -469,9 +447,8 @@ class TestFleetExecutor:
 
     def test_poisoned_cell_raises_under_the_raise_policy(self):
         digests = _grid_digests()
-        options = FleetOptions(
-            faults=FaultSchedule(poison=frozenset({digests[0]})),
-            dead_letter_policy="raise")
+        options = _fast(faults=FaultSchedule(poison=frozenset({digests[0]})),
+                        dead_letter_policy="raise")
         with pytest.raises(FleetError, match="dead-lettered"):
             _run(FleetExecutor(options))
 
@@ -479,14 +456,15 @@ class TestFleetExecutor:
                                                                 tmp_path):
         digests = _grid_digests()
         poisoned = digests[0]
-        executor = FleetExecutor(FleetOptions(
+        executor = FleetExecutor(_fast(
             faults=FaultSchedule(poison=frozenset({poisoned}))))
         cache = ResultCache(tmp_path)
         result = run_grid(_fleet_point, "x", X_VALUES, "series",
                           SERIES_VALUES, n_trials=N_TRIALS, seed=GRID_SEED,
                           executor=executor, cache=cache)
         stats = executor.stats
-        assert stats.dead == 1 and stats.killed == executor.options.max_attempts
+        assert stats.dead == 1
+        assert stats.expired >= executor.options.max_attempts
         [letter] = executor.dead_letters
         assert letter["digest"] == poisoned
         assert letter["attempts"] == executor.options.max_attempts
@@ -508,13 +486,63 @@ class TestFleetExecutor:
         assert payload["counters"]["dead"] == 1
         assert payload["dead_letters"][0]["digest"] == poisoned
 
+    @pytest.mark.parametrize("broker", [None, "127.0.0.1:1"])
+    def test_unpicklable_point_fails_like_the_process_executor(self, broker):
+        """A lambda fails with the engine's TypeError before any broker
+        is contacted or worker thread started (nothing listens on the
+        networked address, so reaching it would raise otherwise)."""
+        before = set(threading.enumerate())
+        fleet = FleetExecutor(_fast(broker=broker, reconnect_timeout=0.1))
+        with pytest.raises(TypeError, match="fleet executor needs a "
+                                            "picklable point function"):
+            run_grid(_lambda_point(), "x", [1], "series", [2], n_trials=1,
+                     seed=0, executor=fleet)
+        with pytest.raises(TypeError, match="process executor needs a "
+                                            "picklable point function"):
+            run_grid(_lambda_point(), "x", [1], "series", [2], n_trials=1,
+                     seed=0, executor="process")
+        assert set(threading.enumerate()) == before
+        assert not fleet.stats.active()
+
+    def test_point_error_in_a_worker_thread_fails_the_run(self):
+        """A raising point fails the run with its own exception, as under
+        serial, instead of stalling until ``run_timeout``."""
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="point failed at x="):
+            run_grid(_raising_point, "x", X_VALUES, "series", SERIES_VALUES,
+                     n_trials=N_TRIALS, seed=GRID_SEED,
+                     executor=FleetExecutor(_fast(run_timeout=30.0)))
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("outcome", ["settled", "raised"])
+    def test_in_process_fleet_leaves_nothing_behind(self, outcome):
+        """No broker, handler, worker or heartbeat thread and no socket
+        outlives a run — a successful one, or one that raised."""
+        digests = _grid_digests()
+        faults = (FaultSchedule() if outcome == "settled"
+                  else FaultSchedule(poison=frozenset({digests[0]})))
+        executor = FleetExecutor(_fast(faults=faults,
+                                       dead_letter_policy="raise"))
+        before = set(threading.enumerate())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            if outcome == "settled":
+                assert _run(executor).series == _run("serial").series
+            else:
+                with pytest.raises(FleetError, match="dead-lettered"):
+                    _run(executor)
+            assert set(threading.enumerate()) == before
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+
 
 class TestServiceTierFleet:
     def test_service_fleet_run_matches_committed_baseline(self, tmp_path):
         """Bench/CLI/served parity extends to the fleet executor."""
         committed = json.loads(
             (BASELINES / f"{CHEAP_BENCH}.json").read_text())
-        core = ServiceCore(cache=tmp_path / "cache")
+        core = ServiceCore(cache=tmp_path / "cache", fleet=_fast())
         run = core.run_bench(CHEAP_BENCH, executor="fleet")
         assert run.record.run_id == committed["run_id"]
         assert run.record.executor == "fleet"
@@ -526,7 +554,7 @@ class TestServiceTierFleet:
 
     def test_fleet_telemetry_rides_records_without_moving_run_id(
             self, tmp_path):
-        core = ServiceCore(cache=tmp_path / "cache")
+        core = ServiceCore(cache=tmp_path / "cache", fleet=_fast())
         fleet_run = core.run_bench(CHEAP_BENCH, executor="fleet")
         serial_run = ServiceCore(
             cache=tmp_path / "cache2").run_bench(CHEAP_BENCH)
@@ -548,8 +576,7 @@ class TestServiceTierFleet:
         poisoned = committed.panels[0].cells[0].digest
         core = ServiceCore(
             cache=tmp_path / "cache",
-            fleet=FleetOptions(
-                faults=FaultSchedule(poison=frozenset({poisoned}))))
+            fleet=_fast(faults=FaultSchedule(poison=frozenset({poisoned}))))
         broken = core.run_bench(CHEAP_BENCH, executor="fleet").record
         assert broken.fleet["counters"]["dead"] == 1
         assert broken.fleet["dead_letters"][0]["digest"] == poisoned
@@ -558,3 +585,38 @@ class TestServiceTierFleet:
         assert diff.value_drift
         assert diff.exit_code == 1
         assert "VALUE DRIFT" in diff.format_summary()
+
+    @pytest.mark.parametrize("entry", ["bench", "spec"])
+    def test_max_workers_sizes_the_fleet_pool(self, entry, tmp_path,
+                                              monkeypatch):
+        """``--executor fleet --max-workers N`` runs N workers, as
+        ``get_executor("fleet", max_workers=N)`` does; the core's own
+        fleet options are left untouched."""
+        sizes = []
+        run = FleetExecutor.run
+
+        def spy(self, payloads):
+            sizes.append(self.options.n_workers)
+            return run(self, payloads)
+
+        monkeypatch.setattr(FleetExecutor, "run", spy)
+        core = ServiceCore(cache=tmp_path / "cache", fleet=_fast())
+        if entry == "bench":
+            core.run_bench(CHEAP_BENCH, executor="fleet", max_workers=2)
+        else:
+            from repro.evaluation import ExperimentSpec
+            spec = ExperimentSpec.from_dict({
+                "name": "pool_size", "solver": "private_lasso",
+                "data": "l1_linear", "metric": "excess_risk",
+                "solver_kwargs": {"delta": 1e-5},
+                "data_kwargs": {
+                    "n": 100,
+                    "features": {"name": "lognormal", "sigma": 0.6},
+                    "noise": {"name": "gaussian", "scale": 0.1}},
+                "sweep": {"name": "epsilon", "target": "solver.epsilon",
+                          "values": [1.0]},
+                "series": {"name": "d", "target": "data.d", "values": [4]},
+                "n_trials": 1, "seed": 0})
+            core.run_spec(spec, executor="fleet", max_workers=2)
+        assert sizes and set(sizes) == {2}
+        assert core.fleet.n_workers == FleetOptions().n_workers

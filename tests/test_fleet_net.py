@@ -4,17 +4,16 @@ The tentpole guarantee under test: moving the broker behind a TCP
 socket and the workers into their own loops changes *nothing* about the
 values — a grid computed by real leased workers over the wire is
 bit-identical to a serial run, under worker kills, dropped completions,
-dropped client connections, and duplicated deliveries, because the
+dropped client connections, and redelivered leases, because the
 transport only moves digest-addressed jobs and idempotent completions.
 
 Three layers, cheapest first: pure protocol round-trips, the
 :class:`~repro.fleet.net.SocketBroker` satisfying the broker method
 contract verbatim against a live :class:`~repro.fleet.net.BrokerServer`
 (same assertions the in-process broker passes, explicit ``now``
-preserved), and whole-fleet runs — the simulated
-:class:`~repro.fleet.FleetExecutor` driving a *networked* broker via
-``broker_factory``, and the same executor with ``FleetOptions.broker``
-coordinating real :class:`~repro.fleet.net.FleetWorker` loops on
+preserved), and whole-fleet runs — :class:`~repro.fleet.FleetExecutor`
+with ``FleetOptions.broker`` coordinating
+:class:`~repro.fleet.net.FleetWorker` loops that the tests start on
 threads.
 """
 
@@ -36,7 +35,6 @@ from repro.fleet import (
     FleetError,
     FleetExecutor,
     FleetOptions,
-    InProcessBroker,
     read_journal,
 )
 from repro.fleet.net import (
@@ -150,9 +148,8 @@ class TestSocketContractParity:
         broker = SocketBroker(server.address)
         broker.enqueue("doomed")
         for attempt in range(3):
-            eligible = broker.next_eligible()
-            now = 1000.0 * (attempt + 1) if eligible is None else \
-                max(eligible, 1000.0 * (attempt + 1))
+            # A thousand seconds apart: far past any backoff hold.
+            now = 1000.0 * (attempt + 1)
             lease = broker.lease(now=now)
             assert lease is not None and lease.attempt == attempt
             reaped = broker.expire(now=now + 10.0)
@@ -164,19 +161,21 @@ class TestSocketContractParity:
         assert broker.counters["dead"] == 1
 
     def test_duplicate_delivery_over_the_socket(self, server):
-        """Two workers complete one attempt; the loser is absorbed."""
+        """A lease expires and the cell is redelivered; both workers
+        complete it — the straggler lands late, the retry is absorbed."""
         broker = SocketBroker(server.address)
         broker.enqueue("twice")
         first = broker.lease(now=10.0)
-        twin = broker.duplicate_lease("twice", now=10.0)
-        assert twin is not None and twin.attempt == first.attempt
-        assert twin.lease_id != first.lease_id
-        assert broker.complete(first.lease_id, now=11.0,
-                               values=[7.0]) == "completed"
-        assert broker.complete(twin.lease_id, now=11.5,
+        assert broker.expire(now=20.0) == [first.lease_id]
+        retry = broker.lease(now=1000.0)
+        assert retry.attempt == first.attempt + 1
+        assert retry.lease_id != first.lease_id
+        assert broker.complete(first.lease_id, now=1001.0,
+                               values=[7.0]) == "late"
+        assert broker.complete(retry.lease_id, now=1001.5,
                                values=[7.0]) == "duplicate"
         counters = broker.counters
-        assert counters["duplicated"] == 1 and counters["duplicates"] == 1
+        assert counters["late"] == 1 and counters["duplicates"] == 1
         # The first completion's values stick.
         assert broker.result("twice") == ([7.0], None)
 
@@ -205,42 +204,6 @@ class TestSocketContractParity:
         assert fresh.counters["enqueued"] == 0
         with pytest.raises(KeyError):
             fresh.state("old")
-
-
-def _socket_factory(server, built):
-    """A ``broker_factory`` opening reset socket brokers into ``built``."""
-    def factory(**policy):
-        built.append(SocketBroker(server.address, reset=True, **policy))
-        return built[-1]
-    return factory
-
-
-class TestSimulatedFleetOverTheSocket:
-    """The simulated FleetExecutor driving a networked broker."""
-
-    def test_grid_is_bit_identical_to_serial(self, server):
-        serial = _run("serial")
-        built = []
-        fleet = FleetExecutor(FleetOptions(n_workers=3),
-                              broker_factory=_socket_factory(server, built))
-        assert _run(fleet) == serial
-        assert fleet.stats.completed == len(_grid_digests())
-        # The run closed the connection it opened.
-        assert len(built) == 1 and built[0]._sock is None
-
-    def test_chaos_schedule_is_bit_identical_to_serial(self, server):
-        digests = _grid_digests()
-        faults = FaultSchedule(kill={(digests[0], 0)},
-                               drop={(digests[1], 0)},
-                               duplicate={digests[2]})
-        built = []
-        fleet = FleetExecutor(FleetOptions(n_workers=3, faults=faults),
-                              broker_factory=_socket_factory(server, built))
-        assert _run(fleet) == _run("serial")
-        assert len(built) == 1 and built[0]._sock is None
-        assert fleet.stats.killed == 1 and fleet.stats.dropped == 1
-        assert fleet.stats.duplicated == 1
-        assert fleet.stats.retried >= 2
 
 
 def _spawn_workers(server, n, **kwargs):
@@ -396,17 +359,6 @@ class TestRealWorkers:
 
 
 class TestFactoryWiring:
-    def test_options_without_broker_build_the_simulation(self):
-        assert FleetExecutor(FleetOptions()).broker_factory is InProcessBroker
-
-    def test_options_with_broker_build_the_remote_coordinator(self, server):
-        executor = FleetExecutor(FleetOptions(broker=server.address))
-        with executor.broker_factory(lease_timeout=2.0, max_attempts=5,
-                                     backoff=None) as broker:
-            assert isinstance(broker, SocketBroker)
-            # The run's broker is reset to the coordinator's policy.
-            assert (broker.lease_timeout, broker.max_attempts) == (2.0, 5)
-
     def test_malformed_broker_address_fails_at_option_construction(self):
         with pytest.raises(ValueError):
             FleetOptions(broker="no-port-here")

@@ -6,10 +6,15 @@ and asserts the two fleet invariants the design promises for *any*
 schedule:
 
 * **Bit-identity.**  The fleet's series equal the serial executor's,
-  whatever was killed, dropped, delayed, or duplicated along the way.
+  whatever was killed or dropped along the way.
 * **Exactly-once results.**  ``run_grid`` observes every cell digest
-  exactly once (retries and twin deliveries are absorbed inside the
+  exactly once (retries and late completions are absorbed inside the
   broker), and a warm-cache rerun computes nothing at all.
+
+The fleet runs in process on the wall clock — worker threads against a
+loopback broker, half-second leases — so which worker leases what, and
+the exact counters, depend on thread timing; the fault decisions
+themselves stay pure functions of ``(seed, digest, attempt)``.
 
 ``max_attempts`` is set high enough that no drawn schedule exhausts a
 cell's retries — each case asserts ``dead == 0`` so a rate change that
@@ -22,7 +27,12 @@ import random
 import pytest
 
 from repro.evaluation import ResultCache, run_grid
-from repro.fleet import FaultSchedule, FleetExecutor, FleetOptions
+from repro.fleet import (
+    BackoffPolicy,
+    FaultSchedule,
+    FleetExecutor,
+    FleetOptions,
+)
 
 N_CASES = 5
 
@@ -41,11 +51,11 @@ def _draw_case(case: int):
     faults = FaultSchedule(
         seed=case,
         kill_rate=rng.uniform(0.0, 0.25),
-        drop_rate=rng.uniform(0.0, 0.2),
-        duplicate_rate=rng.uniform(0.0, 0.3),
-        delay_rate=rng.uniform(0.0, 0.3))
+        drop_rate=rng.uniform(0.0, 0.2))
     options = FleetOptions(n_workers=rng.randint(1, 4), max_attempts=8,
-                           faults=faults)
+                           faults=faults, lease_timeout=0.5,
+                           heartbeat_interval=0.15, poll_interval=0.02,
+                           backoff=BackoffPolicy(base=0.05, cap=0.2))
     return x_values, series_values, grid, options
 
 
@@ -74,6 +84,11 @@ def test_random_faults_preserve_bit_identity_and_exactly_once(
     # Exactly once: every digest observed once, none missing, none twice.
     assert len(seen) == len(set(seen)) == n_cells
     assert (cache.hits, cache.misses) == (0, n_cells)
+    # Every scheduled fault cost a lease expiry and a retry.
+    faults = options.faults
+    if any(faults.kill_worker(digest, 0) or faults.drop_completion(digest, 0)
+           for digest in seen):
+        assert executor.stats.expired > 0 and executor.stats.retried > 0
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -94,18 +109,3 @@ def test_warm_cache_rerun_never_spins_the_fleet_up(case, tmp_path):
     serial = run_grid(_property_point, "x", x_values, "series",
                       series_values, **grid)
     assert rerun.series == serial.series
-
-
-@pytest.mark.parametrize("case", range(N_CASES))
-def test_identical_schedules_replay_identical_telemetry(case, tmp_path):
-    """The whole simulation — not just the values — is deterministic."""
-    x_values, series_values, grid, options = _draw_case(case)
-    first = FleetExecutor(options)
-    second = FleetExecutor(options)
-    a = run_grid(_property_point, "x", x_values, "series", series_values,
-                 executor=first, **grid)
-    b = run_grid(_property_point, "x", x_values, "series", series_values,
-                 executor=second, **grid)
-    assert a.series == b.series
-    assert first.stats.as_dict() == second.stats.as_dict()
-    assert first.dead_letters == second.dead_letters

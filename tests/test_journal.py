@@ -9,9 +9,10 @@ is the oracle throughout.
 
 Three layers:
 
-* **Property**: randomized op soups (leases, heartbeats, completions,
-  explicit failures, expiry sweeps, duplicate deliveries — the fault
-  harness's whole vocabulary) replay to snapshot-identical brokers.
+* **Property**: randomized op soups (leases, heartbeats, completions —
+  live, late and duplicate — explicit failures, expiry sweeps: every
+  mutation a coordinator or worker can send) replay to
+  snapshot-identical brokers.
 * **Crash-at-every-record**: the journal truncated at every record
   boundary (and mid-record) replays to exactly the state after the
   surviving prefix — a torn tail is dropped, never guessed at — while
@@ -56,8 +57,8 @@ def _random_workout(path, seed):
     leases = []
     for step in range(rng.randrange(40, 120)):
         now += rng.random() * 3.0
-        op = rng.choice(("enqueue", "lease", "duplicate", "heartbeat",
-                         "complete", "fail", "expire"))
+        op = rng.choice(("enqueue", "lease", "heartbeat", "complete",
+                         "fail", "expire"))
         if op == "enqueue":
             broker.enqueue(f"cell-{rng.randrange(20)}",
                            payload=("point", step))
@@ -65,10 +66,6 @@ def _random_workout(path, seed):
             lease = broker.lease(now)
             if lease is not None:
                 leases.append(lease)
-        elif op == "duplicate" and leases:
-            twin = broker.duplicate_lease(rng.choice(leases).key, now)
-            if twin is not None:
-                leases.append(twin)
         elif op == "heartbeat" and leases:
             broker.heartbeat(rng.choice(leases).lease_id, now)
         elif op == "complete" and leases:
@@ -93,10 +90,9 @@ def _scripted_journal(path):
     broker.enqueue("beta")
     first = broker.lease(1.0)
     broker.heartbeat(first.lease_id, 1.5)
-    twin = broker.duplicate_lease("alpha", 1.6)
     second = broker.lease(2.0)
     broker.complete(first.lease_id, 2.5, values=[1.0, 2.0], elapsed=0.1)
-    broker.complete(twin.lease_id, 2.6, values=[1.0, 2.0], elapsed=0.1)
+    broker.complete(first.lease_id, 2.6, values=[1.0, 2.0], elapsed=0.1)
     broker.fail(second.lease_id, 3.0, "boom")       # attempt 1 of 2
     retry = broker.lease(10.0)                      # past the backoff hold
     broker.expire(100.0)                            # exhausts beta -> dead
@@ -213,7 +209,6 @@ class TestWriteAheadDiscipline:
         written = journal.appended
         assert broker.enqueue("only") is False        # duplicate key
         assert broker.lease(-100.0) is None           # nothing eligible yet?
-        assert broker.duplicate_lease("ghost", 0.0) is None
         assert broker.heartbeat(987654, 0.0) is False  # never issued
         assert broker.expire(0.0) == []               # nothing to reap
         assert journal.appended == written
@@ -234,10 +229,9 @@ class TestWriteAheadDiscipline:
         bare.enqueue("beta")
         first = bare.lease(1.0)
         bare.heartbeat(first.lease_id, 1.5)
-        twin = bare.duplicate_lease("alpha", 1.6)
         second = bare.lease(2.0)
         bare.complete(first.lease_id, 2.5, values=[1.0, 2.0], elapsed=0.1)
-        bare.complete(twin.lease_id, 2.6, values=[1.0, 2.0], elapsed=0.1)
+        bare.complete(first.lease_id, 2.6, values=[1.0, 2.0], elapsed=0.1)
         bare.fail(second.lease_id, 3.0, "boom")
         bare.lease(10.0)
         bare.expire(100.0)

@@ -16,7 +16,6 @@ import pytest
 
 from repro.evaluation import ResultCache, SingleFlight, build_jobs, run_grid
 from repro.exceptions import ResultsError
-from repro.fleet import ManualClock
 from repro.results import load_record, save_record
 from repro.service import ServiceCore
 
@@ -28,17 +27,11 @@ CHEAP_BENCH = "ablation_truncation_threshold"
 _CALLS_LOCK = threading.Lock()
 _CALLS = {"n": 0}
 
-#: Virtual clock for the would-be sleeps below: exactly-once is a
-#: single-flight guarantee, not a timing accident, so the tests assert
-#: it without ever blocking on the wall clock.
-_CLOCK = ManualClock()
-
 
 def _counting_point(series, x, rng):
     """Module-level point that counts every engine invocation."""
     with _CALLS_LOCK:
         _CALLS["n"] += 1
-    _CLOCK.sleep(0.005)
     return float(series) * float(x) + float(rng.normal())
 
 
@@ -127,7 +120,6 @@ class TestSingleFlightCoalescing:
 
         def bad_point(series, x, rng):
             barrier.wait(timeout=10)
-            _CLOCK.sleep(0.01)
             raise RuntimeError("boom")
 
         def run_once(_):
