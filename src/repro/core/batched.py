@@ -48,6 +48,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..estimators.catoni import CatoniEstimator
+from ..estimators.truncation import shrink
 from ..estimators.weak_moments import (
     TruncatedMeanEstimator,
     optimal_truncation_threshold,
@@ -105,21 +106,6 @@ def _draw_row(probs_row: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def shrink_inplace(values: np.ndarray, threshold: float) -> np.ndarray:
-    """``sign(v) * min(|v|, K)`` with preallocated buffers, bit-identical.
-
-    The same elementwise operations as
-    :func:`repro.estimators.truncation.shrink` but composed through
-    ``out=`` buffers, so the batched data-preparation loop allocates two
-    temporaries instead of four per trial.
-    """
-    v = np.asarray(values, dtype=float)
-    mag = np.abs(v)
-    np.minimum(mag, threshold, out=mag)
-    np.multiply(np.sign(v), mag, out=mag)
-    return mag
-
-
 def batch_fit_lasso(solver, datasets: Sequence[Tuple[np.ndarray, np.ndarray]],
                     rngs: Sequence[np.random.Generator]) -> List[np.ndarray]:
     """Fit Algorithm 2 on ``K`` datasets with one stacked Frank–Wolfe loop.
@@ -158,8 +144,8 @@ def batch_fit_lasso(solver, datasets: Sequence[Tuple[np.ndarray, np.ndarray]],
     gram = np.empty((k_trials, d, d))
     cross = np.empty((k_trials, d))
     for k, (X, y) in enumerate(datasets):
-        X_shrunk = shrink_inplace(X, K)
-        y_shrunk = shrink_inplace(y, K)
+        X_shrunk = shrink(X, K)
+        y_shrunk = shrink(y, K)
         gram[k] = X_shrunk.T @ X_shrunk
         cross[k] = X_shrunk.T @ y_shrunk
 

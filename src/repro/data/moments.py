@@ -62,7 +62,7 @@ def response_fourth_moment(y: np.ndarray) -> float:
 
 
 def kurtosis_report(X: np.ndarray, y: np.ndarray) -> dict:
-    """Summary of tail heaviness used by examples and EXPERIMENTS.md.
+    """Summary of tail heaviness used by the examples.
 
     Returns per-dataset diagnostics: max coordinate kurtosis, the
     Assumption 1/3 moment estimates and the largest single-entry

@@ -17,7 +17,7 @@ generators that produce datasets with
 The experiments that use these datasets only probe error-versus-``(n,
 eps)`` trends of the private solvers on a *fixed*, heavy-tailed design —
 behaviour these generators preserve.  Absolute risk values will differ
-from the paper's; EXPERIMENTS.md records the shape comparison only.
+from the paper's; only the shape of the trends is comparable.
 """
 
 from __future__ import annotations

@@ -24,6 +24,14 @@ sample changes (the sensitivity used by the exponential mechanism in
 Algorithm 1 and by Peeling in Algorithm 5).  We additionally *clip* the
 computed influence to the theoretical bound so the sensitivity holds
 numerically, not just analytically.
+
+The kernel evaluates ``Ĉ(a, b)`` only where ``(sqrt(2) - |a|) < 39*b``.
+Elsewhere both ``V∓ = (sqrt(2) ∓ a)/b`` are at least 39, where the
+normal tail ``Phi(-39)`` and ``exp(-39^2/2)`` both underflow to exactly
+``0.0`` in double precision, so every term of ``Ĉ`` is ``±0.0`` and
+skipping it changes no bit of the result.  (38.6 would not do:
+``exp(-38.6^2/2)`` is still the subnormal ``5e-324``.)  The influence
+clip to ``±PHI_BOUND`` applies to every entry, skipped correction or not.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .._validation import check_positive
 
@@ -44,6 +52,10 @@ PHI_BOUND = 2.0 * math.sqrt(2.0) / 3.0
 PHI_KNEE = math.sqrt(2.0)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+#: Distance ``V`` (in noise standard deviations) past which the normal
+#: tail ``Phi(-V)`` and the density factor ``exp(-V^2/2)`` are exactly 0.0.
+_UNDERFLOW_SIGMAS = 39.0
 
 
 def phi(u: np.ndarray) -> np.ndarray:
@@ -79,8 +91,8 @@ def correction_term(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     v_minus = (PHI_KNEE - a) / b
     v_plus = (PHI_KNEE + a) / b
-    f_minus = norm.cdf(-v_minus)
-    f_plus = norm.cdf(-v_plus)
+    f_minus = ndtr(-v_minus)
+    f_plus = ndtr(-v_plus)
     e_minus = np.exp(-0.5 * v_minus**2)
     e_plus = np.exp(-0.5 * v_plus**2)
 
@@ -96,6 +108,10 @@ def correction_term(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def smoothed_phi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Closed form of ``E_xi[phi(a + b*xi)]`` for ``xi ~ N(0, 1)`` (eq. 5).
+
+    :func:`correction_term` is added only where ``(sqrt(2) - |a|) < 39*b``;
+    elsewhere both ``V∓ >= 39`` and it is exactly ``±0.0`` (``Phi`` and
+    ``exp`` underflow), so skipping it changes no bit of the result.
 
     Parameters
     ----------
@@ -117,17 +133,11 @@ def smoothed_phi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.any(b < 0):
         raise ValueError("b must be non-negative")
     a, b = np.broadcast_arrays(a, b)
-    out = np.empty_like(a)
-
+    out = np.asarray(a * (1.0 - b**2 / 2.0) - a**3 / 6.0)
     degenerate = b < 1e-12
-    if np.any(degenerate):
-        out[degenerate] = phi(a[degenerate])
-    active = ~degenerate
-    if np.any(active):
-        aa = a[active]
-        bb = b[active]
-        main = aa * (1.0 - bb**2 / 2.0) - aa**3 / 6.0
-        out[active] = main + correction_term(aa, bb)
+    near = ~degenerate & ((PHI_KNEE - np.abs(a)) < _UNDERFLOW_SIGMAS * b)
+    out[near] += correction_term(a[near], b[near])
+    out[degenerate] = phi(a[degenerate])
     return np.clip(out, -PHI_BOUND, PHI_BOUND)
 
 

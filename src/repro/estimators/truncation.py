@@ -30,10 +30,14 @@ def shrink(values: np.ndarray, threshold: float) -> np.ndarray:
     Unlike zeroing-style "truncation", shrinkage keeps the sign and caps
     the magnitude, which is what preserves enough signal under bounded
     fourth moments (paper Assumption 3 / Lemma 8).
+
+    Computed as one clip into a fresh array; the ``+= 0.0`` maps ``-0.0``
+    to ``+0.0`` exactly as the ``sign`` form does.
     """
     check_positive(threshold, "threshold")
-    v = np.asarray(values, dtype=float)
-    return np.sign(v) * np.minimum(np.abs(v), threshold)
+    out = np.clip(np.asarray(values, dtype=float), -threshold, threshold)
+    out += 0.0
+    return out
 
 
 def shrink_dataset(features: np.ndarray, labels: np.ndarray,

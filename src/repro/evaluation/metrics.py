@@ -80,7 +80,7 @@ def relative_risk_gap(loss: Loss, w_private: np.ndarray,
     Panel (c) of Figures 1/2/5/6 plots "the difference of empirical risk
     between private and non-private" — the absolute gap
     ``L(w_priv) - L(w_nonpriv)``; this relative form is additionally
-    provided for scale-free reporting in EXPERIMENTS.md.
+    provided for scale-free reporting.
     """
     gap = loss.value(w_private, X, y) - loss.value(w_nonprivate, X, y)
     if w_star is None:

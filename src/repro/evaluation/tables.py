@@ -49,7 +49,7 @@ def shape_summary(x_values: Sequence, values: Sequence[float]) -> str:
 
 
 def markdown_table(headers: Iterable[str], rows: Iterable[Sequence]) -> str:
-    """Small GitHub-markdown table renderer for EXPERIMENTS.md snippets."""
+    """Small GitHub-markdown table renderer."""
     headers = list(headers)
     lines = ["| " + " | ".join(headers) + " |",
              "|" + "|".join("---" for _ in headers) + "|"]

@@ -2,11 +2,11 @@
 
 Each theorem's headline excess-risk bound is exposed as a plain function
 of the problem parameters, constants-free (the Big-O constant is an
-explicit argument defaulting to 1).  The benches and EXPERIMENTS.md use
-these to compare measured errors against the predicted *scaling*; the
-test-suite checks the internal consistency relations the paper states
-(e.g. Theorem 5's rate beats Theorem 2's for LASSO, the Theorem 8 upper
-bound dominates the Theorem 9 lower bound by exactly ``~sqrt(s*)``).
+explicit argument defaulting to 1).  The benches use these to compare
+measured errors against the predicted *scaling*; the test-suite checks
+the internal consistency relations the paper states (e.g. Theorem 5's
+rate beats Theorem 2's for LASSO, the Theorem 8 upper bound dominates
+the Theorem 9 lower bound by exactly ``~sqrt(s*)``).
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import ndtr
 
 from repro.estimators import (
     PHI_BOUND,
@@ -23,6 +25,7 @@ from repro.estimators import (
     smoothed_phi,
     smoothed_phi_quadrature,
 )
+from repro.estimators.catoni import _UNDERFLOW_SIGMAS
 
 
 class TestPhi:
@@ -106,6 +109,88 @@ class TestSmoothedPhi:
         assert abs(c) < 1e-10
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _reference(a, b):
+    """``smoothed_phi`` with the correction added on every entry."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    full = a * (1.0 - b**2 / 2.0) - a**3 / 6.0 + correction_term(a, b)
+    return np.clip(full, -PHI_BOUND, PHI_BOUND)
+
+
+_A = st.floats(min_value=-60, max_value=60)
+_B = st.floats(min_value=1e-12, max_value=40)
+
+
+class TestKernelParity:
+    """Skipping the correction where it underflows changes no bit."""
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, n, elements=_A),
+        hnp.arrays(np.float64, n, elements=_B))))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_full_correction(self, ab):
+        a, b = ab
+        np.testing.assert_array_equal(_bits(smoothed_phi(a, b)),
+                                      _bits(_reference(a, b)))
+
+    @given(a=_A, b=_B)
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_zero_dim(self, a, b):
+        out = smoothed_phi(np.array(a), np.array(b))
+        assert _bits(out) == _bits(_reference(np.array(a), np.array(b)))
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, n, elements=_A),
+        hnp.arrays(np.float64, n, elements=st.one_of(
+            _B, st.just(0.0), st.floats(min_value=0.0, max_value=9e-13))))))
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_degenerate_entries(self, ab):
+        a, b = ab
+        out = smoothed_phi(a, b)
+        active = b >= 1e-12
+        np.testing.assert_array_equal(_bits(out[active]),
+                                      _bits(_reference(a[active], b[active])))
+        np.testing.assert_array_equal(_bits(out[~active]),
+                                      _bits(phi(a[~active])))
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, n, elements=st.floats(1e-9, PHI_KNEE / 39)),
+        hnp.arrays(np.float64, n, elements=st.floats(-1e-12, 1e-12)),
+        hnp.arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))))
+    @settings(max_examples=100, deadline=None)
+    def test_straddling_the_cutoff(self, bds):
+        b, delta, sign = bds
+        a = sign * (PHI_KNEE - 39.0 * b) * (1.0 + delta)
+        np.testing.assert_array_equal(_bits(smoothed_phi(a, b)),
+                                      _bits(_reference(a, b)))
+
+    def test_broadcast_and_strided_inputs(self, rng):
+        x = rng.standard_cauchy(size=(60, 9)) * 3.0
+        for a, b in ((x, np.abs(x) / 2.0), (x.T, np.abs(x.T)),
+                     (x[::2, ::3], np.array(0.02)), (x[:, :1], x[:1, :] ** 2)):
+            a_full, b_full = np.broadcast_arrays(a, b)
+            np.testing.assert_array_equal(_bits(smoothed_phi(a, b)),
+                                          _bits(_reference(a_full, b_full)))
+
+    def test_cutoff_is_where_the_tails_underflow(self):
+        assert _UNDERFLOW_SIGMAS == 39.0
+        assert float(ndtr(-39.0)) == 0.0
+        assert math.exp(-0.5 * 39.0**2) == 0.0
+        assert math.exp(-0.5 * 38.6**2) > 0.0  # subnormal: 38.6 is too low
+
+    @given(b=st.floats(min_value=1e-12, max_value=PHI_KNEE / _UNDERFLOW_SIGMAS),
+           frac=st.floats(min_value=-1.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_correction_is_zero_past_cutoff(self, b, frac):
+        a = frac * (PHI_KNEE - _UNDERFLOW_SIGMAS * b)
+        assume(PHI_KNEE - abs(a) >= _UNDERFLOW_SIGMAS * b)
+        assert float(correction_term(np.array(a), np.array(b))) == 0.0
+
+
 class TestCatoniEstimator:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -147,6 +232,22 @@ class TestCatoniEstimator:
             x2[0] = replacement
             worst = max(worst, abs(est.estimate(x2) - base))
         assert worst <= est.sensitivity(200) + 1e-12
+
+    def test_sensitivity_realized_columns(self, rng):
+        """The same bound holds coordinate-wise for ``estimate_columns``."""
+        est = CatoniEstimator(scale=1.5)
+        n, d = 200, 6
+        X = rng.standard_t(df=3, size=(n, d))
+        base = est.estimate_columns(X)
+        bound = est.sensitivity(n) + 1e-12
+        rows = [np.full(d, 1e12), np.full(d, -1e12), np.zeros(d),
+                np.array([1e12, -1e12, 0.0, -1e12, 1e12, 0.0])]
+        for row in rows:
+            for i in (0, n - 1):
+                X2 = X.copy()
+                X2[i] = row
+                moved = np.abs(est.estimate_columns(X2) - base)
+                assert np.all(moved <= bound), (row, i, moved.max())
 
     def test_estimate_columns_matches_scalar(self, rng):
         est = CatoniEstimator(scale=5.0)

@@ -394,3 +394,21 @@ class TestBenchEnvKnobs:
         result = self._import_common({"REPRO_BENCH_CACHE": str(target)})
         assert result.returncode == 0, result.stderr
         assert target.is_dir()
+
+
+def test_entry_points_do_not_import_scipy_stats():
+    """The CLI, service and HTTP tier load without ``scipy.stats``.
+
+    ``scipy.stats`` pulls in hundreds of scipy submodules; a stray import
+    of it in the numerics would add about half a second and tens of MB to
+    every ``repro`` process.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli, repro.service, repro.server.http; "
+         "print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

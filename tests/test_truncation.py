@@ -56,6 +56,59 @@ class TestShrink:
         np.testing.assert_array_equal(shrink(x, 10.0), x)
 
 
+def _sign_form(v, k):
+    """The textbook ``sign(v) * min(|v|, K)`` that :func:`shrink` must equal."""
+    return np.sign(v) * np.minimum(np.abs(v), k)
+
+
+class TestShrinkParity:
+    """``shrink`` equals the sign form bit for bit, signed zeros included."""
+
+    SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf,
+                         5e-324, -5e-324, 1e308, -1e308])
+
+    @given(hnp.arrays(np.float64, st.integers(0, 40),
+                      elements=st.floats(allow_nan=True, allow_infinity=True)),
+           st.floats(min_value=1e-6, max_value=1e6))
+    @settings(max_examples=200)
+    def test_bit_equal_to_sign_form(self, x, k):
+        out = shrink(x, k)
+        expected = _sign_form(x, k)
+        nan = np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(out), nan)
+        np.testing.assert_array_equal(out[~nan].view(np.int64),
+                                      expected[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("k", [1e-3, 1.0, 7.5])
+    def test_special_values(self, k):
+        x = np.concatenate([self.SPECIALS, [k, -k, np.nextafter(k, 0)]])
+        out = shrink(x, k)
+        expected = _sign_form(x, k)
+        assert np.isnan(out[2]) and np.isnan(expected[2])
+        keep = ~np.isnan(expected)
+        np.testing.assert_array_equal(out[keep].view(np.int64),
+                                      expected[keep].view(np.int64))
+        assert not np.signbit(out[1])  # -0.0 -> +0.0
+        np.testing.assert_array_equal(out[3:5], [k, -k])
+
+    def test_matrix_and_scalar_inputs(self, rng):
+        X = rng.standard_cauchy(size=(50, 7))
+        for v in (X, X.T, X[::3, ::2], np.asarray(-0.0), -3.0):
+            out = np.asarray(shrink(v, 2.0))
+            expected = np.asarray(_sign_form(np.asarray(v, dtype=float), 2.0))
+            assert out.shape == expected.shape
+            np.testing.assert_array_equal(out.view(np.int64),
+                                          expected.view(np.int64))
+
+    def test_never_returns_its_input(self):
+        x = np.array([-5.0, 0.5, 5.0])
+        before = x.copy()
+        out = shrink(x, 1.0)
+        assert out is not x
+        assert not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, before)
+
+
 class TestShrinkDataset:
     def test_shrinks_both(self):
         X = np.full((3, 2), 9.0)
