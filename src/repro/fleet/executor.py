@@ -18,9 +18,9 @@ There is one worker and one coordinator loop.  Without
 — the loop ``repro fleet-worker`` runs as a process — under the
 options' :class:`~repro.fleet.faults.FaultSchedule`.  With a broker
 address it coordinates the socket broker there while real worker
-processes compute.  Either way the coordinator polls the broker on the
-wall clock, reaping expired leases, until every cell is DONE or DEAD,
-then reads every cell's state and values back.  Values are
+processes compute.  Either way the coordinator reaps expired leases
+and long-polls the broker until every cell is DONE or DEAD, then reads
+every cell's state and values back.  Values are
 bit-identical to serial regardless of scheduling, because every
 :class:`~repro.evaluation.TrialJob` carries its own seed material, and
 every injected fault is a pure function of the schedule seed, the cell
@@ -77,9 +77,9 @@ class FleetOptions:
     #: starting its own; ``n_workers``/``heartbeat_interval``/``faults``
     #: then describe nothing — real worker processes bring their own.
     broker: Optional[str] = None
-    #: Poll cadence (seconds between the coordinator's expire/settle
-    #: sweeps, and between an idle in-process worker's lease polls) and
-    #: per-``run`` wall-clock budget.
+    #: Longest one request waits at the broker (the coordinator's settle
+    #: wait, an in-process worker's lease long-poll; below the 30 s
+    #: socket timeout), and the per-``run`` wall-clock budget.
     poll_interval: float = 0.2
     run_timeout: float = 600.0
     #: How long one remote broker call rides out unreachability
@@ -104,8 +104,12 @@ class FleetOptions:
         if self.dead_letter_policy not in ("record", "raise"):
             raise ValueError(f"dead_letter_policy must be 'record' or "
                              f"'raise', got {self.dead_letter_policy!r}")
-        if self.poll_interval <= 0 or self.run_timeout <= 0:
-            raise ValueError("poll_interval and run_timeout must be > 0")
+        # SocketBroker reads with a 30 s timeout: a longer wait would
+        # time the socket out mid-wait and resend in a loop.
+        if not 0 < self.poll_interval < 30.0 or self.run_timeout <= 0:
+            raise ValueError(f"poll_interval must be in (0, 30) and "
+                             f"run_timeout > 0, got {self.poll_interval} "
+                             f"and {self.run_timeout}")
         if self.reconnect_timeout <= 0:
             raise ValueError(f"reconnect_timeout must be > 0, "
                              f"got {self.reconnect_timeout}")
@@ -264,7 +268,8 @@ class FleetExecutor:
 
     def _await_settled(self, broker, n_cells: int, address: str,
                        failures: Sequence[BaseException]) -> None:
-        """Poll expire/outstanding until every cell is DONE or DEAD.
+        """Sweep ``expire``, then wait up to ``poll_interval`` in
+        ``outstanding``, until every cell is DONE or DEAD.
 
         The expire sweep is load-bearing: with every worker dead there
         is nobody else to reap dangling leases, and without reaping a
@@ -283,7 +288,7 @@ class FleetExecutor:
             now = time.time()
             try:
                 broker.expire(now)
-                outstanding = broker.outstanding()
+                outstanding = broker.outstanding(wait=opts.poll_interval)
             except (ConnectionError, OSError) as exc:
                 if time.time() >= deadline:
                     raise FleetError(
@@ -301,7 +306,6 @@ class FleetExecutor:
                     f"fleet did not settle {n_cells} cells within "
                     f"{opts.run_timeout}s (are any workers running against "
                     f"{address}?)")
-            time.sleep(opts.poll_interval)
 
     # -- telemetry -----------------------------------------------------------
 
@@ -384,6 +388,7 @@ def _local_fleet(opts: FleetOptions
         stop.set()
         for worker in workers:
             worker.stop()
+        server.end_waits()  # workers blocked in a lease long-poll return
         for thread in threads:
             thread.join()
         for worker in workers:

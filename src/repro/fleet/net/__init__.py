@@ -20,7 +20,7 @@ digest-keyed cells:
 
 The coordinator is not here: :class:`~repro.fleet.executor.FleetExecutor`
 with ``FleetOptions(broker="HOST:PORT")`` (``--executor fleet --broker
-HOST:PORT``) resets the socket broker, enqueues, polls it to
+HOST:PORT``) resets the socket broker, enqueues, long-polls it to
 settlement, and reads the values back; without a broker address it
 does the same against a loopback :class:`BrokerServer` and
 :class:`FleetWorker` threads it starts for the run.

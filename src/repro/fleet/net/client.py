@@ -93,6 +93,7 @@ class SocketBroker:
                       force=True if force_reset else None)
         info = self.call("ping")
         if info["protocol"] != protocol.PROTOCOL_VERSION:
+            self.close()
             raise protocol.ProtocolError(
                 f"broker speaks protocol {info['protocol']}, "
                 f"client speaks {protocol.PROTOCOL_VERSION}")
@@ -186,9 +187,11 @@ class SocketBroker:
         return self.call("enqueue", key=key,
                          payload=protocol.encode_payload(payload))
 
-    def lease(self, now: float) -> Optional[Lease]:
-        """Mirror :meth:`InProcessBroker.lease`."""
-        wire_form = self.call("lease", now=now)
+    def lease(self, now: float, wait: Optional[float] = None
+              ) -> Optional[Lease]:
+        """Mirror :meth:`InProcessBroker.lease`; the server may hold the
+        request up to ``wait`` seconds for a cell to become leasable."""
+        wire_form = self.call("lease", now=now, wait=wait)
         return None if wire_form is None else protocol.lease_from_wire(
             wire_form)
 
@@ -223,9 +226,10 @@ class SocketBroker:
         """Mirror :meth:`InProcessBroker.result`."""
         return protocol.result_from_wire(self.call("result", key=key))
 
-    def outstanding(self) -> int:
-        """Mirror :meth:`InProcessBroker.outstanding`."""
-        return self.call("outstanding")
+    def outstanding(self, wait: Optional[float] = None) -> int:
+        """Mirror :meth:`InProcessBroker.outstanding`; the server may hold
+        the request up to ``wait`` seconds for the count to reach 0."""
+        return self.call("outstanding", wait=wait)
 
     @property
     def counters(self) -> Dict[str, int]:

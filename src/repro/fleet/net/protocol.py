@@ -38,7 +38,9 @@ from ..journal import decode_payload, encode_payload  # noqa: F401
 
 #: Bumped on any incompatible wire change; ``ping`` reports it so a
 #: mismatched client can refuse loudly instead of failing strangely.
-PROTOCOL_VERSION = 1
+#: Version 2 added ``wait`` (a long-poll) to ``lease``/``outstanding``;
+#: a version-1 broker would ignore it and leave its callers spinning.
+PROTOCOL_VERSION = 2
 
 #: Exception kinds the client re-raises as their local class; anything
 #: else surfaces as a :class:`ProtocolError` carrying the remote text.

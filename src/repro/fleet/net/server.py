@@ -8,12 +8,14 @@ one broker method call under the lock, so every fleet — the loopback
 one ``--executor fleet`` starts per run, and a networked one — inherits
 the state machine and the broker-level tests unchanged.
 
-The server is deliberately clock-free, exactly like the broker it
-wraps: every time-dependent operation carries the caller's ``now``.
-Coordinators and workers send ``time.time()`` (the protocol assumes
-loosely NTP-synchronised hosts; lease timeouts are seconds, not
-microseconds), and the contract tests send scripted instants — the
-server cannot tell the difference.
+The server keeps no clock, like the broker it wraps: every
+time-dependent operation carries the caller's ``now``.  Coordinators
+and workers send ``time.time()`` (the protocol assumes loosely
+NTP-synchronised hosts; lease timeouts are seconds, not microseconds),
+and the contract tests send scripted instants.  It measures only its
+own wait: a ``lease``/``outstanding`` with ``wait`` long-polls until a
+mutation changes the broker, and a lease granted after ``W`` seconds
+is stamped (and journalled) at ``now + W``, never with a stale deadline.
 
 A ``reset`` operation atomically replaces the broker with a fresh one
 configured by the caller (lease policy and backoff travel as plain
@@ -40,6 +42,7 @@ import signal
 import socket
 import socketserver
 import threading
+import time
 from typing import Dict, List, Optional
 
 from ..backoff import BackoffPolicy
@@ -132,6 +135,8 @@ class BrokerServer:
                  journal: Optional[str] = None,
                  journal_fsync: str = "always"):
         self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        self._closing = False
         self._journal: Optional[Journal] = None
         broker: Optional[InProcessBroker] = None
         if journal is not None:
@@ -188,6 +193,7 @@ class BrokerServer:
 
     def stop(self) -> None:
         """Stop serving, sever live connections, flush and close the log."""
+        self.end_waits()
         self._server.shutdown()
         self._server.close_connections()
         self._server.server_close()
@@ -203,9 +209,17 @@ class BrokerServer:
         returned — calling :meth:`stop`'s ``shutdown()`` there would
         deadlock.
         """
+        self.end_waits()
         self._server.close_connections()
         self._server.server_close()
         self._close_journal()
+
+    def end_waits(self) -> None:
+        """Answer every long-poll now, and every later one at once
+        (the first step of :meth:`stop` and :meth:`close`)."""
+        with self._changed:
+            self._closing = True
+            self._changed.notify_all()
 
     def _close_journal(self) -> None:
         """Close the journal under the dispatch lock (no mid-append races)."""
@@ -228,69 +242,96 @@ class BrokerServer:
 
         Payloads pass through opaque: the server never unpickles what
         it queues, it only hands the encoded string back inside the
-        lease.
+        lease.  A ``lease``/``outstanding`` with ``wait`` retries on each
+        state change until it succeeds or ``wait`` seconds run out.
         """
-        with self._lock:
-            broker = self._broker
-            if op == "ping":
-                return {"protocol": protocol.PROTOCOL_VERSION,
-                        "lease_timeout": broker.lease_timeout,
-                        "max_attempts": broker.max_attempts}
-            if op == "enqueue":
-                return broker.enqueue(args["key"], args.get("payload"))
-            if op == "lease":
-                lease = broker.lease(args["now"])
-                return None if lease is None else protocol.lease_to_wire(lease)
-            if op == "heartbeat":
-                return broker.heartbeat(args["lease_id"], args["now"])
-            if op == "complete":
-                return broker.complete(args["lease_id"], args["now"],
-                                       values=args.get("values"),
-                                       elapsed=args.get("elapsed"))
-            if op == "fail":
-                return broker.fail(args["lease_id"], args["now"],
-                                   args.get("reason", "failed"))
-            if op == "expire":
-                return broker.expire(args["now"])
-            if op == "state":
-                return broker.state(args["key"])
-            if op == "result":
-                return protocol.result_to_wire(broker.result(args["key"]))
-            if op == "outstanding":
-                return broker.outstanding()
-            if op == "counters":
-                # ``replayed`` rides along without living in the broker's
-                # counters dict: recovery provenance for stats surfaces,
-                # excluded from the replayed-state-equality contract.
-                return {**broker.counters, "replayed": broker.replayed}
-            if op == "dead_letters":
-                return [protocol.letter_to_wire(letter)
-                        for letter in broker.dead_letters]
-            if op == "reset":
-                held = broker.active_leases()
-                if held and not args.get("force"):
-                    raise BrokerBusyError(
-                        f"reset refused: {held} lease(s) on "
-                        f"{broker.outstanding()} unsettled task(s) are "
-                        f"outstanding — another coordinator's run is in "
-                        f"flight (pass force=true to discard it)")
-                lease_timeout = args.get("lease_timeout",
-                                         broker.lease_timeout)
-                max_attempts = args.get("max_attempts", broker.max_attempts)
-                backoff = (BackoffPolicy(**args["backoff"])
-                           if args.get("backoff") else broker.backoff)
-                if self._journal is not None:
-                    # A fresh run needs no history: compact the journal
-                    # down to the new broker's config record.
-                    self._journal.reset(lease_timeout=lease_timeout,
-                                        max_attempts=max_attempts,
-                                        backoff=backoff)
-                self._broker = InProcessBroker(lease_timeout=lease_timeout,
-                                               max_attempts=max_attempts,
-                                               backoff=backoff,
-                                               journal=self._journal)
-                return True
-            raise protocol.ProtocolError(f"unknown op {op!r}")
+        wait = args.get("wait") if op in ("lease", "outstanding") else None
+        with self._changed:
+            if wait is None:
+                result = self._apply(op, args)
+                # Falsy: a duplicate enqueue or an empty expire, no change.
+                if result and op in ("enqueue", "complete", "fail",
+                                     "expire", "reset"):
+                    self._changed.notify_all()
+                return result
+            start, waited = time.monotonic(), 0.0
+            while not self._closing:
+                if op == "outstanding":
+                    if self._broker.outstanding() == 0:
+                        return 0
+                else:
+                    lease = self._apply(op, dict(args,
+                                                 now=args["now"] + waited))
+                    if lease is not None:
+                        return lease
+                if waited >= wait:
+                    break
+                self._changed.wait(wait - waited)
+                waited = time.monotonic() - start
+            return None if op == "lease" else self._broker.outstanding()
+
+    def _apply(self, op: str, args: Dict[str, object]) -> object:
+        """One wire operation against the current broker; lock held."""
+        broker = self._broker
+        if op == "ping":
+            return {"protocol": protocol.PROTOCOL_VERSION,
+                    "lease_timeout": broker.lease_timeout,
+                    "max_attempts": broker.max_attempts}
+        if op == "enqueue":
+            return broker.enqueue(args["key"], args.get("payload"))
+        if op == "lease":
+            lease = broker.lease(args["now"])
+            return None if lease is None else protocol.lease_to_wire(lease)
+        if op == "heartbeat":
+            return broker.heartbeat(args["lease_id"], args["now"])
+        if op == "complete":
+            return broker.complete(args["lease_id"], args["now"],
+                                   values=args.get("values"),
+                                   elapsed=args.get("elapsed"))
+        if op == "fail":
+            return broker.fail(args["lease_id"], args["now"],
+                               args.get("reason", "failed"))
+        if op == "expire":
+            return broker.expire(args["now"])
+        if op == "state":
+            return broker.state(args["key"])
+        if op == "result":
+            return protocol.result_to_wire(broker.result(args["key"]))
+        if op == "outstanding":
+            return broker.outstanding()
+        if op == "counters":
+            # ``replayed`` rides along without living in the broker's
+            # counters dict: recovery provenance for stats surfaces,
+            # excluded from the replayed-state-equality contract.
+            return {**broker.counters, "replayed": broker.replayed}
+        if op == "dead_letters":
+            return [protocol.letter_to_wire(letter)
+                    for letter in broker.dead_letters]
+        if op == "reset":
+            held = broker.active_leases()
+            if held and not args.get("force"):
+                raise BrokerBusyError(
+                    f"reset refused: {held} lease(s) on "
+                    f"{broker.outstanding()} unsettled task(s) are "
+                    f"outstanding — another coordinator's run is in "
+                    f"flight (pass force=true to discard it)")
+            lease_timeout = args.get("lease_timeout",
+                                     broker.lease_timeout)
+            max_attempts = args.get("max_attempts", broker.max_attempts)
+            backoff = (BackoffPolicy(**args["backoff"])
+                       if args.get("backoff") else broker.backoff)
+            if self._journal is not None:
+                # A fresh run needs no history: compact the journal
+                # down to the new broker's config record.
+                self._journal.reset(lease_timeout=lease_timeout,
+                                    max_attempts=max_attempts,
+                                    backoff=backoff)
+            self._broker = InProcessBroker(lease_timeout=lease_timeout,
+                                           max_attempts=max_attempts,
+                                           backoff=backoff,
+                                           journal=self._journal)
+            return True
+        raise protocol.ProtocolError(f"unknown op {op!r}")
 
 
 def _graceful_exit(signum, frame):  # pragma: no cover - signal path

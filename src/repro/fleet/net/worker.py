@@ -1,6 +1,7 @@
 """``python -m repro fleet-worker`` — the fleet's one worker loop.
 
-Lease a digest-keyed cell from the socket broker, heartbeat on the wall
+Lease a digest-keyed cell from the socket broker (a long-poll the
+broker answers as soon as a cell is leasable), heartbeat on the wall
 clock while computing, execute through the *unchanged* engine job path
 (:func:`~repro.evaluation.engine._execute_payload` — the same function
 every local executor calls), and complete back with the trial values.
@@ -54,6 +55,8 @@ def _default_kill() -> None:  # pragma: no cover - exercised in subprocesses
 class FleetWorker:
     """One worker: lease, heartbeat, compute, complete — until idle.
 
+    ``poll_interval`` bounds one lease long-poll at the broker, below
+    the client's socket ``timeout`` (a timed-out read would resend).
     ``on_kill`` is the fault-injection death hook: the CLI worker uses
     ``os._exit`` (a real process death, mid-lease), while worker
     threads substitute a soft stop so :meth:`run` returns and simply
@@ -71,6 +74,10 @@ class FleetWorker:
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be > 0, "
                              f"got {poll_interval}")
+        if poll_interval >= broker.timeout:
+            raise ValueError(f"poll_interval ({poll_interval}) must be "
+                             f"below the broker client's socket timeout "
+                             f"({broker.timeout})")
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             # Event.wait(0) returns at once: the heartbeat thread would
             # spin, journalling one broker mutation per iteration.
@@ -116,7 +123,8 @@ class FleetWorker:
         outages = 0
         while not self._stop.is_set():
             try:
-                lease = self.broker.lease(time.time())
+                lease = self.broker.lease(time.time(),
+                                          wait=self.poll_interval)
             except (ConnectionError, OSError):
                 self.broker_retries += 1
                 if (self.idle_exit is not None
@@ -130,7 +138,6 @@ class FleetWorker:
                 if (self.idle_exit is not None
                         and time.time() - idle_since >= self.idle_exit):
                     break
-                self._stop.wait(self.poll_interval)
                 continue
             idle_since = time.time()
             self.leased += 1
@@ -250,7 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="S", help="evict unpinned cells older than "
                                           "S seconds")
     parser.add_argument("--poll", type=float, default=0.2, metavar="S",
-                        help="seconds between lease polls when idle")
+                        help="longest a lease request waits at the "
+                             "broker for work (must be below 30)")
     parser.add_argument("--reconnect-timeout", type=float, default=30.0,
                         metavar="S", help="per-call window to ride out an "
                                           "unreachable broker before a poll "

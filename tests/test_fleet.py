@@ -19,6 +19,7 @@ thread timing.
 import gc
 import json
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -513,6 +514,14 @@ class TestFleetExecutor:
                      n_trials=N_TRIALS, seed=GRID_SEED,
                      executor=FleetExecutor(_fast(run_timeout=30.0)))
         assert set(threading.enumerate()) == before
+
+    def test_long_poll_does_not_delay_teardown(self):
+        """Workers blocked in a 5 s lease long-poll are woken at teardown,
+        and the coordinator's settle wait ends on the last completion."""
+        executor = FleetExecutor(_fast(n_workers=2, poll_interval=5.0))
+        started = time.monotonic()
+        assert _run(executor).series == _run("serial").series
+        assert time.monotonic() - started < 2.0
 
     @pytest.mark.parametrize("outcome", ["settled", "raised"])
     def test_in_process_fleet_leaves_nothing_behind(self, outcome):

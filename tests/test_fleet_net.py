@@ -17,6 +17,7 @@ with ``FleetOptions.broker`` coordinating
 threads.
 """
 
+import sys
 import threading
 import time
 
@@ -36,6 +37,7 @@ from repro.fleet import (
     FleetExecutor,
     FleetOptions,
     read_journal,
+    replay_journal,
 )
 from repro.fleet.net import (
     BrokerServer,
@@ -376,6 +378,147 @@ class TestWorkerOptions:
         assert main(["--broker", server.address,
                      "--heartbeat-interval", "0"]) == 2
         assert "heartbeat_interval must be > 0" in capsys.readouterr().err
+
+    def test_poll_at_or_above_the_socket_timeout_is_rejected(self, server,
+                                                              capsys):
+        """A long-poll the socket read cannot outlast is refused up front:
+        it would time out mid-wait and resend in a loop."""
+        from repro.fleet.net.worker import main
+        with SocketBroker(server.address, timeout=2.0) as broker:
+            with pytest.raises(ValueError, match=r"\(2\.0\).*\(2\.0\)"):
+                FleetWorker(broker, poll_interval=2.0)
+        with pytest.raises(ValueError,
+                           match=r"poll_interval must be in \(0, 30\)"):
+            FleetOptions(poll_interval=30.0)
+        assert main(["--broker", server.address, "--poll", "45"]) == 2
+        err = capsys.readouterr().err
+        assert "poll_interval (45.0)" in err and "(30.0)" in err
+
+
+class TestLongPoll:
+    """``wait`` on ``lease``/``outstanding``: the broker answers on change."""
+
+    def test_blocked_worker_leases_a_late_cell_at_once(self, server):
+        # A no-op kill on its first lease ends the loop right there.
+        worker = FleetWorker(SocketBroker(server.address), poll_interval=2.0,
+                             faults=FaultSchedule(kill={("late", 0)}),
+                             on_kill=lambda: None, label="long-poll")
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            time.sleep(0.1)
+            enqueued = time.monotonic()
+            with SocketBroker(server.address) as coordinator:
+                coordinator.enqueue("late")
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            assert time.monotonic() - enqueued < 0.5
+            assert worker.leased == 1
+        finally:
+            worker.stop()
+            worker.broker.close()
+
+    def test_idle_worker_does_not_spin(self, server):
+        broker = SocketBroker(server.address)
+        calls = []
+        lease = broker.lease
+        broker.lease = lambda now, wait=None: (calls.append(now),
+                                               lease(now, wait=wait))[1]
+        worker = FleetWorker(broker, poll_interval=0.2, idle_exit=1.0)
+        try:
+            assert worker.run() == 0
+        finally:
+            broker.close()
+        assert 1 <= len(calls) <= 7
+
+    def test_settle_wait_returns_on_the_last_completion(self, server):
+        broker = SocketBroker(server.address)
+        broker.enqueue("only")
+        lease = broker.lease(time.time())
+        box = {}
+
+        def settle():
+            with SocketBroker(server.address) as observer:
+                box["outstanding"] = observer.outstanding(wait=5.0)
+                box["returned"] = time.monotonic()
+        waiter = threading.Thread(target=settle, daemon=True)
+        waiter.start()
+        time.sleep(0.2)
+        completed = time.monotonic()
+        assert broker.complete(lease.lease_id, time.time(),
+                               values=[1.0]) == "completed"
+        waiter.join(timeout=5.0)
+        broker.close()
+        assert not waiter.is_alive()
+        assert box["outstanding"] == 0
+        assert box["returned"] - completed < 0.5
+
+    def test_waited_lease_deadline_is_fresh_and_replays(self, tmp_path):
+        journal = tmp_path / "broker.wal"
+        with BrokerServer(lease_timeout=5.0, journal=str(journal)) as live:
+            box = {}
+
+            def lease():
+                with SocketBroker(live.address) as broker:
+                    box["lease"] = broker.lease(time.time(), wait=2.0)
+                    box["granted"] = time.time()
+            waiter = threading.Thread(target=lease, daemon=True)
+            waiter.start()
+            time.sleep(0.5)
+            with SocketBroker(live.address) as coordinator:
+                coordinator.enqueue("waited")
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive()
+            assert box["lease"].key == "waited"
+            assert box["lease"].deadline >= box["granted"] + 5.0 - 0.05
+            assert (replay_journal(journal).snapshot()
+                    == live._broker.snapshot())
+
+    def test_concurrent_long_polls_lease_each_cell_once(self, server):
+        """More waiting workers than cores, fast thread switches: every
+        cell is leased and completed exactly once, none lost or doubled."""
+        cells = [f"cell-{index}" for index in range(40)]
+        leased, stop = [], threading.Event()
+
+        def work():
+            with SocketBroker(server.address) as broker:
+                while not stop.is_set():
+                    lease = broker.lease(time.time(), wait=0.2)
+                    if lease is not None:
+                        leased.append(lease.key)
+                        broker.complete(lease.lease_id, time.time(),
+                                        values=[1.0])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=work, daemon=True)
+                   for _ in range(6)]
+        try:
+            for thread in threads:
+                thread.start()
+            with SocketBroker(server.address) as coordinator:
+                for key in cells:
+                    coordinator.enqueue(key)
+                assert coordinator.outstanding(wait=10.0) == 0
+                counters = coordinator.counters
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=5.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(leased) == sorted(cells)
+        assert counters["completed"] == len(cells)
+        assert counters["duplicates"] == 0
+
+    def test_client_refuses_a_protocol_1_broker(self, server, monkeypatch):
+        dispatch = server.dispatch
+
+        def old_broker(op, args):
+            result = dispatch(op, args)
+            return dict(result, protocol=1) if op == "ping" else result
+        monkeypatch.setattr(server, "dispatch", old_broker)
+        with pytest.raises(protocol.ProtocolError, match="protocol 1"):
+            SocketBroker(server.address)
 
 
 #: Fast reconnect backoff so the outage tests finish in milliseconds.
