@@ -24,26 +24,24 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.evaluation import EXECUTORS
 from repro.results import ResultsStore
 from repro.service import ServiceCore
 
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
 
-#: Executor names the engine accepts (mirrors ``repro.cli``).
-_VALID_EXECUTORS = ("serial", "thread", "process", "fleet")
-
-#: Executor for the sweep grids: "serial" (default), "thread",
-#: "process", or "fleet" (the work-queue executor of ``repro.fleet``).
-#: Every figure/ablation point is a picklable scenario dataclass (see
-#: ``repro.experiments.panels``), so the parallel executors fan the
-#: grid cells out for real.  All four are bit-identical.  An unknown
+#: Executor for the sweep grids: "serial" (default), "thread", or
+#: "fleet" (the work-queue executor of ``repro.fleet``).  Every
+#: figure/ablation point is a picklable scenario dataclass (see
+#: ``repro.experiments.panels``), so the fleet can ship the grid cells
+#: to its workers.  All three are bit-identical.  An unknown
 #: value fails here, at import — not as a confusing engine error after
 #: the first expensive data generation.
 EXECUTOR = os.environ.get("REPRO_BENCH_EXECUTOR", "serial")
-if EXECUTOR not in _VALID_EXECUTORS:
+if EXECUTOR not in EXECUTORS:
     raise ValueError(
         f"unknown REPRO_BENCH_EXECUTOR value {EXECUTOR!r}; valid options: "
-        f"{', '.join(_VALID_EXECUTORS)}")
+        f"{', '.join(EXECUTORS)}")
 
 #: Optional on-disk cell cache; rerunning a bench recomputes only the
 #: cells missing from this directory.  Keys include each scenario's

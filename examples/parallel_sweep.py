@@ -1,23 +1,25 @@
-"""Fan a figure-style sweep grid out over threads and worker processes.
+"""Fan a figure-style sweep grid out over threads and fleet workers.
 
-Demonstrates the experiment engine behind ``sweep()`` (architecture:
+Demonstrates the experiment engine, ``run_grid`` (architecture:
 ``docs/engine.md``):
 
 * every (series, sweep, trial) cell is an independently seeded job, so
-  the ``thread`` and ``process`` executors reproduce the ``serial``
-  executor bit-for-bit while using all cores;
+  the ``thread`` and ``fleet`` executors reproduce the ``serial``
+  executor bit-for-bit;
 * an on-disk cell cache makes an immediate re-run near-instant — only
   missing cells are recomputed;
 * cache keys include a fingerprint of the point function's bytecode,
   so editing the point below would invalidate its cached cells
   automatically.
 
-The point function must be picklable for the *process* executor — a
+The point function must be picklable for the *fleet* executor — a
 module-level function like ``noisy_quadratic``, or a
 ``Scenario``/``PointSpec`` dataclass (``repro.evaluation.scenarios``).
-The ``thread`` executor has no such requirement (threads share the
-interpreter) and shines when the point is dominated by BLAS calls,
-which release the GIL.
+Here the fleet is in process: a loopback broker and worker threads,
+the same lease/complete protocol that networked ``repro fleet-worker``
+processes speak.  The ``thread`` executor has no pickling requirement
+(threads share the interpreter) and shines when the point is dominated
+by BLAS calls, which release the GIL.
 """
 
 import tempfile
@@ -55,17 +57,17 @@ def main():
     serial, t_serial = timed("serial executor")
     threads, t_threads = timed("thread executor", executor="thread",
                                max_workers=4)
-    procs, t_procs = timed("process executor", executor="process",
-                           chunksize=2)
+    fleet, t_fleet = timed("in-process fleet", executor="fleet",
+                           max_workers=2)
     for d in (64, 128):
         assert serial.means(d).tolist() == threads.means(d).tolist(), \
             "executors must agree bit-for-bit"
-        assert serial.means(d).tolist() == procs.means(d).tolist(), \
+        assert serial.means(d).tolist() == fleet.means(d).tolist(), \
             "executors must agree bit-for-bit"
     print(f"{'serial/thread ratio':>28}: {t_serial / t_threads:6.2f}x "
           "(identical results; BLAS releases the GIL)")
-    print(f"{'serial/process ratio':>28}: {t_serial / t_procs:6.2f}x "
-          "(identical results, same seeds; gains scale with core count)")
+    print(f"{'serial/fleet ratio':>28}: {t_serial / t_fleet:6.2f}x "
+          "(identical results, same seeds; leases cost broker round trips)")
 
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)

@@ -77,7 +77,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .evaluation import ExperimentSpec, ResultCache
+from .evaluation import EXECUTORS, ExperimentSpec, ResultCache
 from .exceptions import ResultsError
 from .experiments import bench, bench_names
 from .fleet import FleetOptions
@@ -96,10 +96,6 @@ from .service import (
     record_store_entry,
 )
 
-#: Executor names the CLI accepts: the engine's built-in pools plus
-#: the fault-tolerant work-queue executor (:mod:`repro.fleet`).
-_EXECUTORS = ("serial", "thread", "process", "fleet")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -112,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("target",
                      help="catalog scenario name (see `list`) or a path to "
                           "an ExperimentSpec TOML file")
-    run.add_argument("--executor", choices=_EXECUTORS,
+    run.add_argument("--executor", choices=EXECUTORS,
                      default=os.environ.get("REPRO_BENCH_EXECUTOR", "serial"),
                      help="grid executor (default: $REPRO_BENCH_EXECUTOR or "
                           "serial)")
@@ -125,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--full", action="store_true",
                      help="paper-scale grids (hours) instead of laptop scale")
     run.add_argument("--max-workers", type=int, default=None, metavar="N",
-                     help="pool size for thread/process/fleet executors")
+                     help="pool size for the thread executor, or worker "
+                          "threads for --executor fleet without --broker")
     run.add_argument("--broker", metavar="HOST:PORT",
                      default=os.environ.get("REPRO_FLEET_BROKER") or None,
                      help="socket broker address for --executor fleet: "

@@ -1,10 +1,10 @@
-"""Evaluation harness: metrics, engine, scenarios, runner, sweeps, tables."""
+"""Evaluation harness: metrics, engine, scenarios, sweeps, tables."""
 
 from .ascii_plots import ascii_plot
 from .engine import (
     ENGINE_VERSION,
+    EXECUTORS,
     EvictionPolicy,
-    ProcessExecutor,
     ResultCache,
     SerialExecutor,
     SingleFlight,
@@ -31,8 +31,7 @@ from .metrics import (
     relative_risk_gap,
     support_recovery,
 )
-from .runner import ExperimentRunner, TrialStats
-from .sweeps import SweepResult, sweep
+from .sweeps import SweepResult, TrialStats
 from .tables import (
     format_panel_block,
     format_series_table,
@@ -43,13 +42,12 @@ from .tables import (
 __all__ = [
     "AxisSpec",
     "ENGINE_VERSION",
+    "EXECUTORS",
     "EvictionPolicy",
-    "ExperimentRunner",
     "ExperimentSpec",
     "FingerprintError",
     "PointSpec",
     "SpecScenario",
-    "ProcessExecutor",
     "ResultCache",
     "Scenario",
     "SerialExecutor",
@@ -75,5 +73,4 @@ __all__ = [
     "run_grid",
     "shape_summary",
     "support_recovery",
-    "sweep",
 ]

@@ -3,26 +3,26 @@
 Every figure panel in the paper is a (series × sweep × trial) grid of
 independent stochastic experiments.  This module materialises each grid
 cell as a :class:`TrialJob` — an independently seeded, picklable unit of
-work — and fans the jobs out over a pluggable executor (serial
-in-process, a :class:`concurrent.futures.ThreadPoolExecutor` for points
-whose hot loops release the GIL, or a
-:class:`concurrent.futures.ProcessPoolExecutor` pool), optionally
-short-circuiting cells whose trial values are already present in an
-on-disk :class:`ResultCache`.  Point functions are best written as
-:class:`~repro.evaluation.scenarios.Scenario` dataclasses: picklable
-(so the process executor can fan out) and code-fingerprinted (so the
-cache invalidates when their code changes).
+work — and fans the jobs out over one of three executors (:data:`EXECUTORS`):
+serial in-process, a :class:`concurrent.futures.ThreadPoolExecutor` for
+points whose hot loops release the GIL, or the work-queue fleet of
+:mod:`repro.fleet`, whose networked ``repro fleet-worker`` processes are
+the multi-process path.  Cells whose trial values are already present in
+an on-disk :class:`ResultCache` are short-circuited.  Point functions
+are best written as :class:`~repro.evaluation.scenarios.Scenario`
+dataclasses: picklable (so the fleet can ship them to workers) and
+code-fingerprinted (so the cache invalidates when their code changes).
 
 Seeding is the load-bearing correctness property.  Cell seeds are derived
 from a *stable digest* of the cell coordinates (``hashlib.blake2b`` over a
 canonical encoding of the series/sweep names and values) combined with
 the root :class:`numpy.random.SeedSequence`.  The builtin :func:`hash` is
-never used: it is salted per process (``PYTHONHASHSEED``), which is
-exactly the bug that made the old ``sweep()`` non-reproducible across
-processes.  Because seeds depend only on the root seed and the cell's
-coordinates — never on grid *indices* or execution order — all three
-executors produce bit-identical results, and the cache stays sound when
-a grid is extended with new sweep values.
+never used: it is salted per process (``PYTHONHASHSEED``), so seeds
+derived from it would differ from one process to the next.  Because
+seeds depend only on the root seed and the cell's coordinates — never
+on grid *indices* or execution order — every executor produces
+bit-identical results, and the cache stays sound when a grid is
+extended with new sweep values.
 
 Cache keys additionally fold in a *code fingerprint* of the point
 callable (:func:`~repro.evaluation.scenarios.point_fingerprint`): a
@@ -41,22 +41,23 @@ import re
 import tempfile
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..rng import GridSeed, SeedLike, spawn_rngs
-from .runner import TrialStats
-from .sweeps import SweepResult
+from ..exceptions import ConfigurationError
+from ..rng import GridSeed, spawn_rngs
+from .sweeps import SweepResult, TrialStats
 
 #: point(series_value, sweep_value, rng) -> scalar error.
 PointFn = Callable[[object, object, np.random.Generator], float]
 
-#: A trial function maps ``rng -> metric value`` (or a dict of metrics).
-TrialFn = Callable[[np.random.Generator], float]
+#: The executor names :func:`get_executor` resolves — the one list the
+#: CLI, the HTTP tier and the bench knobs validate against.
+EXECUTORS = ("serial", "thread", "fleet")
 
 #: The engine's reproducibility-contract version, stamped into run
 #: records (:mod:`repro.results`).  Bump it whenever seeding or digest
@@ -229,8 +230,8 @@ class TrialJob:
         ``batch_point(series_value, sweep_value, rngs) -> list[float]``
         (see :class:`~repro.evaluation.scenarios.Scenario`) receive the
         whole cell as one call — every executor (serial, thread,
-        process, fleet) routes through this method, so one dispatch
-        point covers them all.  The batched path is contractually
+        fleet) routes through this method, so one dispatch point
+        covers them all.  The batched path is contractually
         bit-identical to the scalar loop: each trial's Generator must
         be consumed with exactly the draws, in exactly the order, of
         the scalar path, so trial values — and therefore cache digests,
@@ -266,7 +267,15 @@ def build_jobs(sweep_name: str, sweep_values: Sequence[object],
 
     ``code_token`` is folded into each job's cache digest (see
     :meth:`TrialJob.create`); it does not influence seeds.
+
+    ``n_trials`` must be a positive integer — not a bool, not a float
+    such as ``2.0`` — and is checked here, before any cell is computed
+    or cached, so a bad count can never leave cell files behind.
     """
+    if (isinstance(n_trials, (bool, np.bool_))
+            or not isinstance(n_trials, (int, np.integer)) or n_trials < 1):
+        raise ConfigurationError(
+            f"n_trials must be a positive integer, got {n_trials!r}")
     if len(set(series_values)) != len(list(series_values)):
         raise ValueError(f"series_values must be unique, got {list(series_values)!r}")
     root = _normalize_root(seed)
@@ -282,26 +291,11 @@ def build_jobs(sweep_name: str, sweep_values: Sequence[object],
 
 
 # ---------------------------------------------------------------------------
-# Trial helpers shared with ExperimentRunner.
-# ---------------------------------------------------------------------------
-
-def run_trial_values(trial: TrialFn, n_trials: int, seed: SeedLike) -> List[float]:
-    """Scalar trial values from ``n_trials`` independently seeded repeats."""
-    return [float(trial(rng)) for rng in spawn_rngs(seed, n_trials)]
-
-
-def run_trial_outcomes(trial: Callable[[np.random.Generator], Dict[str, float]],
-                       n_trials: int, seed: SeedLike) -> List[Dict[str, float]]:
-    """Dict-valued trial outcomes from ``n_trials`` independent repeats."""
-    return [dict(trial(rng)) for rng in spawn_rngs(seed, n_trials)]
-
-
-# ---------------------------------------------------------------------------
 # Executors.
 # ---------------------------------------------------------------------------
 
 def _execute_payload(payload: Tuple[PointFn, TrialJob]) -> Tuple[List[float], float]:
-    """Module-level job entry point (must be picklable for process pools).
+    """Run one payload: the entry point of every executor and fleet worker.
 
     Returns ``(trial values, wall seconds)``: the compute time is
     measured *inside* the worker, so per-cell timings are honest under
@@ -329,9 +323,9 @@ class SerialExecutor:
 def _require_picklable(point: PointFn, executor: str) -> None:
     """Refuse a point function ``executor`` cannot ship to its workers.
 
-    The process pool and the fleet both pickle every payload; checking
-    up front turns a closure's raw ``PicklingError`` deep in a pool or
-    socket call into one clear error.
+    The fleet pickles every payload; checking up front turns a
+    closure's raw ``PicklingError`` deep in a socket call into one
+    clear error.
     """
     try:
         pickle.dumps(point)
@@ -344,44 +338,6 @@ def _require_picklable(point: PointFn, executor: str) -> None:
             "points") from exc
 
 
-class ProcessExecutor:
-    """Fans jobs out over a :class:`ProcessPoolExecutor` worker pool.
-
-    Because each job carries its own seed material, results are
-    bit-identical to :class:`SerialExecutor` regardless of worker count,
-    chunking, or scheduling order.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size; ``None`` uses the ``ProcessPoolExecutor`` default
-        (the machine's CPU count).
-    chunksize:
-        Jobs handed to a worker per IPC round-trip.  Raising it
-        amortises pickling overhead when individual cells are cheap.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None, chunksize: int = 1):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.max_workers = max_workers
-        self.chunksize = chunksize
-
-    def run(self, payloads: Sequence[Tuple[PointFn, TrialJob]]):
-        """Yield each cell's trial values as the worker pool streams them."""
-        if not payloads:
-            return
-        _require_picklable(payloads[0][0], "process")
-        # Yield results as pool.map streams them (in submission order) so
-        # the caller can cache completed cells before a later one fails;
-        # the pool stays open for exactly as long as the generator runs.
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            yield from pool.map(_execute_payload, payloads,
-                                chunksize=self.chunksize)
-
-
 class ThreadExecutor:
     """Fans jobs out over a :class:`ThreadPoolExecutor` in-process pool.
 
@@ -389,12 +345,13 @@ class ThreadExecutor:
     kernels that release the GIL (matrix products, numpy reductions):
     threads share the interpreter, so there is no pickling requirement —
     closures and lambdas work — and no per-job IPC cost.  Pure-Python
-    hot loops serialise on the GIL and should use
-    :class:`ProcessExecutor` instead.
+    hot loops serialise on the GIL; spread those over networked
+    ``repro fleet-worker`` processes (``executor="fleet"`` with a
+    broker) instead.
 
     Because each job carries its own seed material, results are
-    bit-identical to :class:`SerialExecutor` and :class:`ProcessExecutor`
-    regardless of worker count or scheduling order.
+    bit-identical to :class:`SerialExecutor` regardless of worker count
+    or scheduling order.
 
     Parameters
     ----------
@@ -416,29 +373,25 @@ class ThreadExecutor:
             yield from pool.map(_execute_payload, payloads)
 
 
-ExecutorLike = Union[str, SerialExecutor, ThreadExecutor, ProcessExecutor]
+ExecutorLike = Union[str, SerialExecutor, ThreadExecutor]
 
 
 def get_executor(executor: ExecutorLike = "serial",
-                 max_workers: Optional[int] = None, chunksize: int = 1
-                 ) -> Union[SerialExecutor, ThreadExecutor, ProcessExecutor]:
+                 max_workers: Optional[int] = None):
     """Resolve an executor spec to an executor instance.
 
-    ``executor`` is ``"serial"``, ``"thread"``, ``"process"``,
-    ``"fleet"`` (the work-queue executor of :mod:`repro.fleet`: a
-    loopback broker with ``max_workers`` worker threads, or the
-    networked broker named by ``REPRO_FLEET_BROKER``), or any object
-    with a ``run(payloads)`` method (returned unchanged).  ``chunksize``
-    only applies to the process pool — threads share the interpreter,
-    so there is nothing to amortise.
+    ``executor`` is one of :data:`EXECUTORS` — ``"serial"``,
+    ``"thread"``, or ``"fleet"`` (the work-queue executor of
+    :mod:`repro.fleet`: a loopback broker with ``max_workers`` worker
+    threads, or the networked broker named by ``REPRO_FLEET_BROKER``)
+    — or any object with a ``run(payloads)`` method (returned
+    unchanged).
     """
     if isinstance(executor, str):
         if executor == "serial":
             return SerialExecutor()
         if executor == "thread":
             return ThreadExecutor(max_workers=max_workers)
-        if executor == "process":
-            return ProcessExecutor(max_workers=max_workers, chunksize=chunksize)
         if executor == "fleet":
             # Imported lazily: repro.fleet imports this module for the
             # job-execution path, so a top-level import would be a cycle.
@@ -453,8 +406,8 @@ def get_executor(executor: ExecutorLike = "serial",
             if broker:
                 kwargs["broker"] = broker
             return FleetExecutor(FleetOptions(**kwargs))
-        raise ValueError(f"unknown executor {executor!r}; "
-                         "expected 'serial', 'thread', 'process', or 'fleet'")
+        raise ValueError(f"unknown executor {executor!r}; expected one "
+                         f"of {', '.join(EXECUTORS)}")
     if hasattr(executor, "run"):
         return executor
     raise TypeError(f"executor must be a name or provide .run(), "
@@ -786,7 +739,7 @@ def run_grid(point: PointFn, sweep_name: str, sweep_values: Sequence[object],
              series_name: str, series_values: Sequence[object], *,
              n_trials: int = 5, seed: GridSeed = 0,
              executor: ExecutorLike = "serial",
-             max_workers: Optional[int] = None, chunksize: int = 1,
+             max_workers: Optional[int] = None,
              cache: CacheLike = None, cache_tag: str = "",
              code_tag: Optional[str] = None,
              flight: Optional[SingleFlight] = None,
@@ -805,10 +758,10 @@ def run_grid(point: PointFn, sweep_name: str, sweep_values: Sequence[object],
     point:
         ``point(series_value, sweep_value, rng) -> scalar``.  Must be
         picklable — a module-level function or a
-        :class:`~repro.evaluation.scenarios.Scenario` — for the process
-        executor; the serial and thread executors take any callable.
+        :class:`~repro.evaluation.scenarios.Scenario` — for the fleet;
+        the serial and thread executors take any callable.
     executor:
-        ``"serial"``, ``"thread"``, ``"process"``, ``"fleet"``, or any
+        ``"serial"``, ``"thread"``, ``"fleet"``, or any
         object whose ``run(payloads)`` returns an iterable — of
         ``(values, seconds)`` pairs like the built-in pools,
         ``(values, seconds, cacheable)`` triples like the fleet
@@ -865,8 +818,7 @@ def run_grid(point: PointFn, sweep_name: str, sweep_values: Sequence[object],
         else:
             pending.append((index, job))
     if pending:
-        runner = get_executor(executor, max_workers=max_workers,
-                              chunksize=chunksize)
+        runner = get_executor(executor, max_workers=max_workers)
         followers: List[Tuple[int, TrialJob, Future]] = []
         led_futures: Dict[int, Future] = {}
         if flight is None:

@@ -9,7 +9,7 @@ provides both halves of the fix:
 * :class:`Scenario` / :class:`PointSpec` — frozen, module-level
   dataclasses implementing the engine's point protocol
   ``scenario(series_value, sweep_value, rng) -> float``.  Instances are
-  plain picklable values, so every executor (serial, thread, process)
+  plain picklable values, so every executor (serial, thread, fleet)
   can run them, and their dataclass fields enumerate exactly the state
   that parameterises the experiment.
 
@@ -380,9 +380,9 @@ class Scenario:
     the same value from the same job.
 
     Because instances are plain dataclass values they pickle by field,
-    which is what lets the process executor fan a grid out across
-    workers, and what lets :func:`point_fingerprint` key the cache by
-    the fields plus the bytecode of every method the class defines.
+    which is what lets the fleet ship a grid out to its workers, and
+    what lets :func:`point_fingerprint` key the cache by the fields
+    plus the bytecode of every method the class defines.
 
     The fingerprint's normal boundary stops at the scenario's own
     module: library code it calls enters by name only.  Scenarios whose

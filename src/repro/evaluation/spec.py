@@ -338,7 +338,7 @@ class ExperimentSpec:
     def run(self, *, executor: ExecutorLike = "serial",
             cache: CacheLike = None, n_trials: Optional[int] = None,
             max_workers: Optional[int] = None,
-            chunksize: int = 1, flight=None, on_cell=None) -> SweepResult:
+            flight=None, on_cell=None) -> SweepResult:
         """Evaluate the spec's grid through the engine.
 
         Axis names label the grid (and enter cell seeds); the executor,
@@ -355,5 +355,4 @@ class ExperimentSpec:
             self.series.name, list(self.series.values),
             n_trials=self.n_trials if n_trials is None else n_trials,
             seed=self.seed, executor=executor, max_workers=max_workers,
-            chunksize=chunksize, cache=cache, flight=flight,
-            on_cell=on_cell)
+            cache=cache, flight=flight, on_cell=on_cell)

@@ -1,28 +1,55 @@
-"""Parameter sweeps — the (x-axis, series) structure of the paper's figures.
+"""Sweep results — the (x-axis, series) structure of the paper's figures.
 
 Every panel in Figures 1–11 is "error versus one swept variable, one
-curve per value of a second variable".  :func:`sweep` captures exactly
-that: it evaluates a point function on the product of the sweep values
-and the series values and returns a :class:`SweepResult` whose
+curve per value of a second variable", each point averaged over
+repeated trials (the paper uses at least 20).
+:func:`repro.evaluation.engine.run_grid` evaluates such a grid and
+returns a :class:`SweepResult` of per-cell :class:`TrialStats`, whose
 ``format_table`` output is what the benches print.
-
-:func:`sweep` is a thin wrapper over :mod:`repro.evaluation.engine`,
-which owns seeding (stable digests of the cell coordinates — never the
-process-salted builtin ``hash``), parallel execution, and caching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..rng import GridSeed
-from .runner import TrialStats
 
-#: point(series_value, sweep_value, rng) -> scalar error.
-PointFn = Callable[[object, object, np.random.Generator], float]
+@dataclass(frozen=True)
+class TrialStats:
+    """Mean / spread summary of one metric across trials."""
+
+    mean: float
+    std: float
+    minimum: float
+    maximum: float
+    n_trials: int
+
+    @classmethod
+    def from_values(cls, values: Sequence[float]) -> "TrialStats":
+        """Summarise raw per-trial metric values (must be non-empty)."""
+        arr = np.asarray(list(values), dtype=float)
+        if arr.size == 0:
+            raise ValueError("cannot summarise zero trials")
+        return cls(mean=float(arr.mean()), std=float(arr.std(ddof=0)),
+                   minimum=float(arr.min()), maximum=float(arr.max()),
+                   n_trials=int(arr.size))
+
+    @property
+    def stderr(self) -> float:
+        """Standard error of the mean, from the sample standard deviation.
+
+        ``std`` is the population (``ddof=0``) figure for backward
+        compatibility; the standard error uses the unbiased sample
+        estimator (``ddof=1``), i.e. ``std * sqrt(n/(n-1)) / sqrt(n)``
+        which simplifies to ``std / sqrt(n - 1)``.  A single trial
+        carries no spread information, so ``n_trials == 1`` returns 0.0
+        rather than NaN.
+        """
+        if self.n_trials < 2:
+            return 0.0
+        return self.std / np.sqrt(self.n_trials - 1)
 
 
 @dataclass
@@ -83,31 +110,3 @@ class SweepResult:
         base = abs(start)
         allowance = slack * base if base >= 1e-9 else slack
         return bool(end <= start + allowance)
-
-
-def sweep(point: PointFn, sweep_name: str, sweep_values: Sequence[object],
-          series_name: str, series_values: Sequence[object],
-          n_trials: int = 5, seed: GridSeed = 0, *,
-          executor: object = "serial", max_workers: Optional[int] = None,
-          chunksize: int = 1, cache: object = None, cache_tag: str = "",
-          code_tag: Optional[str] = None) -> SweepResult:
-    """Evaluate ``point`` over the sweep × series grid with repeats.
-
-    Seeds are derived per grid cell from a stable digest of the cell
-    coordinates plus the root seed, so that (a) every cell is independent
-    and (b) rerunning a sweep with the same root seed is reproducible —
-    including across processes with different ``PYTHONHASHSEED``.
-    ``seed`` must be an ``int`` or a :class:`numpy.random.SeedSequence`;
-    other types raise :class:`TypeError` rather than being silently
-    replaced.
-
-    The keyword-only arguments are forwarded to
-    :func:`repro.evaluation.engine.run_grid`; the defaults reproduce the
-    historical serial, uncached behaviour.
-    """
-    from .engine import run_grid
-    return run_grid(point, sweep_name, sweep_values, series_name,
-                    series_values, n_trials=n_trials, seed=seed,
-                    executor=executor, max_workers=max_workers,
-                    chunksize=chunksize, cache=cache, cache_tag=cache_tag,
-                    code_tag=code_tag)

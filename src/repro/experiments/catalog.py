@@ -75,8 +75,7 @@ class PanelDef:
     n_trials: int
 
     def run(self, *, executor="serial", cache=None, n_trials=None,
-            max_workers=None, chunksize: int = 1, recorder=None,
-            flight=None) -> Dict[object, List[float]]:
+            max_workers=None, recorder=None, flight=None) -> Dict[object, List[float]]:
         """Evaluate the panel's grid; returns ``series -> mean curve``.
 
         ``n_trials`` overrides the panel's trial count (changing the
@@ -102,8 +101,8 @@ class PanelDef:
         result = run_grid(self.point, "x", list(self.sweep_values),
                           "series", list(self.series_values),
                           n_trials=trials, seed=self.seed, executor=executor,
-                          max_workers=max_workers, chunksize=chunksize,
-                          cache=cache, flight=flight, on_cell=on_cell)
+                          max_workers=max_workers, cache=cache,
+                          flight=flight, on_cell=on_cell)
         if recorder is not None:
             recorder.add_panel(
                 title=self.title, x_name=self.x_name, sweep_name="x",

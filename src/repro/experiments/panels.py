@@ -7,8 +7,8 @@ dataclass implementing the engine's point protocol
 
 with the experiment's remaining configuration (distributions, fixed
 sizes, solver knobs) carried as dataclass fields.  As module-level
-dataclasses they pickle by field (the process executor fans grids out
-for real) and fingerprint by field + ``__call__`` bytecode (editing a
+dataclasses they pickle by field (the fleet ships grids out to its
+workers) and fingerprint by field + ``__call__`` bytecode (editing a
 panel's code invalidates exactly its cached cells; see
 ``docs/engine.md``).
 

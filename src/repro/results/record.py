@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..exceptions import ResultsError, UnknownSchemaError
-from ..evaluation.runner import TrialStats
+from ..evaluation.sweeps import TrialStats
 
 #: The manifest layout this build writes and reads.  Bump on any
 #: incompatible change to the payload structure; readers refuse other

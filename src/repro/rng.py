@@ -42,8 +42,9 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
 def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
     """Derive ``n`` statistically independent generators from one seed.
 
-    Used by the experiment runner so that repeated trials are independent
-    yet fully reproducible from a single root seed.
+    Used by the experiment engine (:meth:`repro.evaluation.TrialJob.execute`)
+    so that repeated trials are independent yet fully reproducible from
+    a single root seed.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")

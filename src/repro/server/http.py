@@ -25,6 +25,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
+from ..evaluation import EXECUTORS
 from ..exceptions import ReproError, ResultsError
 from ..registry import UnknownNameError
 from ..results import manifest_text
@@ -303,7 +304,7 @@ class ReproServer:
             raise _HttpError(400, "Bad Request",
                              "n_trials must be a positive integer")
         executor = request.get("executor", "serial")
-        if executor not in ("serial", "thread", "process", "fleet"):
+        if executor not in EXECUTORS:
             raise _HttpError(400, "Bad Request",
                              f"unknown executor {executor!r}")
 

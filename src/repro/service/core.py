@@ -160,8 +160,7 @@ class ServiceCore:
 
     def run_bench(self, name: str, *, full: bool = False,
                   n_trials: Optional[int] = None, executor: str = "serial",
-                  max_workers: Optional[int] = None,
-                  chunksize: int = 1) -> BenchRun:
+                  max_workers: Optional[int] = None) -> BenchRun:
         """Run one catalog bench through the engine; seal its record.
 
         The one bench execution path behind ``python -m repro run``,
@@ -181,8 +180,7 @@ class ServiceCore:
             series = panel.run(executor=runner if runner is not None
                                else executor, cache=self.cache,
                                n_trials=n_trials, max_workers=max_workers,
-                               chunksize=chunksize, recorder=recorder,
-                               flight=self.flight)
+                               recorder=recorder, flight=self.flight)
             blocks.append(format_panel_block(panel.title, panel.x_name,
                                              panel.sweep_values, series))
             panels.append(series)

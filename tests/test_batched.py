@@ -124,12 +124,6 @@ class TestDispatch:
                           max_workers=2)
         assert result.means(5).tolist() == [2.0, 2.0]
 
-    def test_dispatch_on_process_executor(self):
-        result = run_grid(_MarkerScenario(), "n", [10], "d", [5],
-                          n_trials=2, seed=0, executor="process",
-                          max_workers=2)
-        assert result.means(5).tolist() == [2.0]
-
     def test_dispatch_on_fleet_executor(self):
         result = run_grid(_MarkerScenario(), "n", [10], "d", [5],
                           n_trials=2, seed=0, executor="fleet",

@@ -87,6 +87,25 @@ class TestRun:
                      "--trials", "1"]) == 0
         assert "hits=0 misses=4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_bad_trials_fail_before_any_cell_is_cached(self, tmp_path,
+                                                       capsys, trials):
+        spec_path = tmp_path / "tiny.toml"
+        spec_path.write_text(TINY_SPEC)
+        cache_dir = tmp_path / "cells"
+        for target in ("fig07_sparse_lognormal_noise", str(spec_path)):
+            assert main(["run", target, "--trials", trials,
+                         "--cache", str(cache_dir)]) == 1
+            assert ("error: n_trials must be a positive integer"
+                    in capsys.readouterr().err)
+        assert not list(cache_dir.glob("**/*.json"))
+
+    def test_removed_process_executor_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig05_lasso_lognormal", "--executor", "process"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
 
 def _spec_record(tmp_path, capsys, stem="run_a"):
     """Run the tiny spec once with ``--record``; return the record path."""
@@ -375,10 +394,12 @@ class TestBenchEnvKnobs:
         assert result.returncode == 0, result.stderr
 
     def test_unknown_executor_fails_listing_options(self):
-        result = self._import_common({"REPRO_BENCH_EXECUTOR": "warp"})
-        assert result.returncode != 0
-        assert "unknown REPRO_BENCH_EXECUTOR value 'warp'" in result.stderr
-        assert "serial, thread, process" in result.stderr
+        for value in ("warp", "process"):
+            result = self._import_common({"REPRO_BENCH_EXECUTOR": value})
+            assert result.returncode != 0
+            assert (f"unknown REPRO_BENCH_EXECUTOR value {value!r}"
+                    in result.stderr)
+            assert "valid options: serial, thread, fleet" in result.stderr
 
     def test_unwritable_cache_dir_fails(self, tmp_path):
         blocker = tmp_path / "a-file"

@@ -2,7 +2,7 @@
 
 The load-bearing properties: cell seeds are stable digests of the cell
 coordinates (never the process-salted builtin ``hash``), the serial,
-thread, and process executors are bit-identical, and the on-disk cache
+thread, and fleet executors are bit-identical, and the on-disk cache
 recomputes only the missing cells.
 """
 
@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 
 from repro.evaluation import (
-    ProcessExecutor,
+    EXECUTORS,
     ResultCache,
     SerialExecutor,
     ThreadExecutor,
     build_jobs,
     get_executor,
     run_grid,
-    sweep,
 )
 from repro.evaluation.engine import canonical_token, cell_seed_words
+from repro.exceptions import ConfigurationError
 
 SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
 
@@ -101,7 +101,7 @@ class TestSeeding:
                                      np.random.default_rng(0)])
     def test_unsupported_seed_types_raise(self, bad):
         with pytest.raises(TypeError):
-            sweep(lambda s, x, rng: 0.0, "n", [1], "d", [1], seed=bad)
+            run_grid(lambda s, x, rng: 0.0, "n", [1], "d", [1], seed=bad)
 
     def test_canonical_token_type_tags(self):
         assert canonical_token(1) != canonical_token("1")
@@ -171,9 +171,9 @@ class TestCrossProcessReproducibility:
         """The headline bugfix: two processes with different
         ``PYTHONHASHSEED`` values must produce identical sweep means."""
         script = (
-            "from repro.evaluation import sweep\n"
-            "r = sweep(lambda s, x, rng: {'a': 1, 'b': 2}[s] * float(x) + rng.normal(),\n"
-            "          'n', [1, 2, 4], 'd', ['a', 'b'], n_trials=3, seed=123)\n"
+            "from repro.evaluation import run_grid\n"
+            "r = run_grid(lambda s, x, rng: {'a': 1, 'b': 2}[s] * float(x) + rng.normal(),\n"
+            "             'n', [1, 2, 4], 'd', ['a', 'b'], n_trials=3, seed=123)\n"
             "print([[v.hex() for v in r.means(k)] for k in ['a', 'b']])\n"
         )
         outputs = []
@@ -191,26 +191,6 @@ class TestCrossProcessReproducibility:
 
 
 class TestExecutors:
-    def test_process_matches_serial_bit_for_bit(self):
-        kwargs = dict(n_trials=4, seed=11)
-        serial = run_grid(_linear_point, "n", [1, 2, 3], "d", [5, 7],
-                          executor="serial", **kwargs)
-        procs = run_grid(_linear_point, "n", [1, 2, 3], "d", [5, 7],
-                         executor="process", max_workers=2, **kwargs)
-        for d in (5, 7):
-            assert serial.means(d).tolist() == procs.means(d).tolist()
-            assert ([s.std for s in serial.series[d]]
-                    == [s.std for s in procs.series[d]])
-
-    def test_chunksize_batching_matches(self):
-        base = run_grid(_linear_point, "n", list(range(6)), "d", [2],
-                        n_trials=2, seed=3, executor="process",
-                        max_workers=2, chunksize=1)
-        chunked = run_grid(_linear_point, "n", list(range(6)), "d", [2],
-                           n_trials=2, seed=3, executor="process",
-                           max_workers=2, chunksize=4)
-        assert base.means(2).tolist() == chunked.means(2).tolist()
-
     def test_thread_matches_serial_bit_for_bit(self):
         kwargs = dict(n_trials=4, seed=11)
         serial = run_grid(_linear_point, "n", [1, 2, 3], "d", [5, 7],
@@ -223,7 +203,7 @@ class TestExecutors:
                     == [s.std for s in threads.series[d]])
 
     def test_thread_executor_accepts_closures(self):
-        # Unlike the process pool, threads share the interpreter: no
+        # Unlike the fleet, threads share the interpreter: no
         # pickling requirement, so closure points parallelise too.
         offset = 2.5
         serial = run_grid(lambda s, x, rng: offset * x + rng.normal(),
@@ -237,24 +217,22 @@ class TestExecutors:
         offset = 1.0
         with pytest.raises(TypeError, match="picklable"):
             run_grid(lambda s, x, rng: offset, "n", [1], "d", [1],
-                     n_trials=1, seed=0, executor="process")
+                     n_trials=1, seed=0, executor="fleet")
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
             get_executor("threads")
+        with pytest.raises(ValueError, match="serial, thread, fleet"):
+            get_executor("process")
         with pytest.raises(TypeError):
             get_executor(42)
 
     def test_executor_names_resolve(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
         assert isinstance(get_executor("thread"), ThreadExecutor)
-        assert isinstance(get_executor("process"), ProcessExecutor)
+        assert EXECUTORS == ("serial", "thread", "fleet")
 
     def test_invalid_pool_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(max_workers=0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(chunksize=0)
         with pytest.raises(ValueError):
             ThreadExecutor(max_workers=0)
 
@@ -360,13 +338,26 @@ class TestResultCache:
         assert list((tmp_path / "cells").glob("**/*.json"))
 
 
-class TestSweepWrapper:
-    def test_sweep_matches_run_grid(self):
-        a = sweep(_linear_point, "n", [1, 2], "d", [3], n_trials=3, seed=9)
-        b = run_grid(_linear_point, "n", [1, 2], "d", [3], n_trials=3, seed=9)
-        assert a.means(3).tolist() == b.means(3).tolist()
-
-    def test_sweep_same_root_seed_reproducible_in_process(self):
-        run = lambda: sweep(_linear_point, "n", [1, 2, 4], "d", [1, 10],
-                            n_trials=3, seed=0)
+class TestRunGrid:
+    def test_same_root_seed_reproducible_in_process(self):
+        run = lambda: run_grid(_linear_point, "n", [1, 2, 4], "d", [1, 10],
+                               n_trials=3, seed=0)
         assert run().means(10).tolist() == run().means(10).tolist()
+
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.0])
+    def test_bad_n_trials_rejected_before_any_cell_is_cached(self, tmp_path,
+                                                            bad):
+        counting = _CountingExecutor()
+        with pytest.raises(ConfigurationError,
+                           match="n_trials must be a positive integer"):
+            run_grid(_linear_point, "n", [1, 2], "d", [3], n_trials=bad,
+                     seed=0, cache=tmp_path, executor=counting)
+        assert counting.calls == 0
+        assert not list(tmp_path.glob("**/*.json"))
+
+    def test_numpy_integer_n_trials_accepted(self):
+        as_int = build_jobs("n", [1], "d", [1], n_trials=3, seed=0)
+        as_numpy = build_jobs("n", [1], "d", [1], n_trials=np.int64(3),
+                              seed=0)
+        assert [job.digest for job in as_numpy] == [job.digest
+                                                    for job in as_int]

@@ -1,11 +1,10 @@
-"""Tests for the evaluation harness: metrics, runner, sweeps, tables."""
+"""Tests for the evaluation harness: metrics, trial stats, sweeps, tables."""
 
 import numpy as np
 import pytest
 
 from repro import SquaredLoss
 from repro.evaluation import (
-    ExperimentRunner,
     TrialStats,
     classification_accuracy,
     excess_empirical_risk,
@@ -14,10 +13,11 @@ from repro.evaluation import (
     mean_squared_estimation_error,
     parameter_error,
     relative_risk_gap,
+    run_grid,
     shape_summary,
     support_recovery,
-    sweep,
 )
+from repro.rng import spawn_rngs
 
 
 class TestMetrics:
@@ -93,46 +93,35 @@ class TestRunner:
         with pytest.raises(ValueError):
             TrialStats.from_values([])
 
-    def test_runner_deterministic(self):
-        runner = ExperimentRunner(n_trials=5, seed=1)
-        f = lambda rng: float(rng.normal())
-        assert runner.run(f).mean == ExperimentRunner(n_trials=5, seed=1).run(f).mean
-
     def test_runner_trials_independent(self):
-        runner = ExperimentRunner(n_trials=50, seed=0)
-        stats = runner.run(lambda rng: float(rng.normal()))
+        stats = TrialStats.from_values(
+            [float(rng.normal()) for rng in spawn_rngs(0, 50)])
         assert stats.std > 0.4  # not identical draws
-
-    def test_run_multi(self):
-        runner = ExperimentRunner(n_trials=4, seed=0)
-        out = runner.run_multi(lambda rng: {"a": 1.0, "b": float(rng.uniform())})
-        assert out["a"].mean == 1.0
-        assert 0 <= out["b"].mean <= 1
 
 
 class TestSweep:
     def test_grid_shape(self):
-        result = sweep(lambda series, x, rng: float(x) * series,
-                       "n", [1, 2, 4], "d", [1, 10], n_trials=2, seed=0)
+        result = run_grid(lambda series, x, rng: float(x) * series,
+                          "n", [1, 2, 4], "d", [1, 10], n_trials=2, seed=0)
         assert result.sweep_values == [1, 2, 4]
         assert set(result.series) == {1, 10}
         assert len(result.series[1]) == 3
 
     def test_means_and_decreasing(self):
-        result = sweep(lambda series, x, rng: 1.0 / x,
-                       "n", [1, 2, 4], "d", [1], n_trials=2, seed=0)
+        result = run_grid(lambda series, x, rng: 1.0 / x,
+                          "n", [1, 2, 4], "d", [1], n_trials=2, seed=0)
         np.testing.assert_allclose(result.means(1), [1.0, 0.5, 0.25])
         assert result.is_decreasing(1)
 
     def test_not_decreasing(self):
-        result = sweep(lambda series, x, rng: float(x),
-                       "n", [1, 2], "d", [1], n_trials=1, seed=0)
+        result = run_grid(lambda series, x, rng: float(x),
+                          "n", [1, 2], "d", [1], n_trials=1, seed=0)
         assert not result.is_decreasing(1)
 
     def test_is_decreasing_relative_slack(self):
         # Curve rises 1.0 -> 1.1: a 10% rise, forgiven by slack >= 0.1.
-        result = sweep(lambda series, x, rng: 1.0 + 0.1 * (x - 1),
-                       "n", [1, 2], "d", [1], n_trials=1, seed=0)
+        result = run_grid(lambda series, x, rng: 1.0 + 0.1 * (x - 1),
+                          "n", [1, 2], "d", [1], n_trials=1, seed=0)
         assert not result.is_decreasing(1)
         assert not result.is_decreasing(1, slack=0.05)
         assert result.is_decreasing(1, slack=0.11)
@@ -140,30 +129,30 @@ class TestSweep:
     def test_is_decreasing_zero_baseline_uses_absolute_slack(self):
         # Starting at exactly 0.0, multiplicative slack would grant no
         # allowance at all; slack must act as an absolute tolerance.
-        result = sweep(lambda series, x, rng: 0.0 if x == 1 else 0.05,
-                       "n", [1, 2], "d", [1], n_trials=1, seed=0)
+        result = run_grid(lambda series, x, rng: 0.0 if x == 1 else 0.05,
+                          "n", [1, 2], "d", [1], n_trials=1, seed=0)
         assert not result.is_decreasing(1)
         assert result.is_decreasing(1, slack=0.06)
 
     def test_is_decreasing_dust_baseline_treated_as_zero(self):
         # A baseline that is zero up to floating dust must behave like
         # the exact-zero case, not get a ~1e-17-sized allowance.
-        result = sweep(lambda series, x, rng: 5e-17 if x == 1 else 0.05,
-                       "n", [1, 2], "d", [1], n_trials=1, seed=0)
+        result = run_grid(lambda series, x, rng: 5e-17 if x == 1 else 0.05,
+                          "n", [1, 2], "d", [1], n_trials=1, seed=0)
         assert not result.is_decreasing(1)
         assert result.is_decreasing(1, slack=0.06)
 
     def test_is_decreasing_negative_baseline(self):
         # A negative start must still get a positive allowance (the old
         # multiplicative form *tightened* the check below zero).
-        result = sweep(lambda series, x, rng: -1.0 if x == 1 else -0.95,
-                       "n", [1, 2], "d", [1], n_trials=1, seed=0)
+        result = run_grid(lambda series, x, rng: -1.0 if x == 1 else -0.95,
+                          "n", [1, 2], "d", [1], n_trials=1, seed=0)
         assert not result.is_decreasing(1)
         assert result.is_decreasing(1, slack=0.1)
 
     def test_format_table_contains_values(self):
-        result = sweep(lambda series, x, rng: 0.5,
-                       "eps", [0.1, 1.0], "d", [50], n_trials=1, seed=0)
+        result = run_grid(lambda series, x, rng: 0.5,
+                          "eps", [0.1, 1.0], "d", [50], n_trials=1, seed=0)
         table = result.format_table(title="demo")
         assert "demo" in table and "eps" in table and "0.50000" in table
 

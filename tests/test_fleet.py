@@ -488,7 +488,7 @@ class TestFleetExecutor:
         assert payload["dead_letters"][0]["digest"] == poisoned
 
     @pytest.mark.parametrize("broker", [None, "127.0.0.1:1"])
-    def test_unpicklable_point_fails_like_the_process_executor(self, broker):
+    def test_unpicklable_point_fails_before_any_broker_call(self, broker):
         """A lambda fails with the engine's TypeError before any broker
         is contacted or worker thread started (nothing listens on the
         networked address, so reaching it would raise otherwise)."""
@@ -498,10 +498,6 @@ class TestFleetExecutor:
                                             "picklable point function"):
             run_grid(_lambda_point(), "x", [1], "series", [2], n_trials=1,
                      seed=0, executor=fleet)
-        with pytest.raises(TypeError, match="process executor needs a "
-                                            "picklable point function"):
-            run_grid(_lambda_point(), "x", [1], "series", [2], n_trials=1,
-                     seed=0, executor="process")
         assert set(threading.enumerate()) == before
         assert not fleet.stats.active()
 

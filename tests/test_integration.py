@@ -20,7 +20,8 @@ from repro import (
     sparse_truth,
 )
 from repro.baselines import FrankWolfe
-from repro.evaluation import ExperimentRunner, excess_empirical_risk
+from repro.evaluation import TrialStats, excess_empirical_risk
+from repro.rng import spawn_rngs
 
 LOGNORMAL = DistributionSpec("lognormal", {"sigma": 0.6})
 SMALL_NOISE = DistributionSpec("gaussian", {"scale": 0.1})
@@ -44,7 +45,8 @@ class TestFigure1Pipeline:
                     data.features, data.labels, rng=rng)
                 return (loss.value(res.w, data.features, data.labels)
                         - loss.value(w_np, data.features, data.labels))
-            gaps[n] = ExperimentRunner(n_trials=4, seed=0).run(trial).mean
+            gaps[n] = TrialStats.from_values(
+                [trial(r) for r in spawn_rngs(0, 4)]).mean
         assert gaps[32_000] < gaps[2000]
 
     def test_dimension_insensitivity(self):
@@ -60,7 +62,8 @@ class TestFigure1Pipeline:
                     data.features, data.labels, rng=rng)
                 return excess_empirical_risk(loss, res.w, data.w_star,
                                              data.features, data.labels)
-            errors[d] = ExperimentRunner(n_trials=4, seed=1).run(trial).mean
+            errors[d] = TrialStats.from_values(
+                [trial(r) for r in spawn_rngs(1, 4)]).mean
         # x8 dimension must NOT produce x8 error (poly-d would).
         assert errors[96] < 4.0 * max(errors[12], 1e-4)
 
@@ -79,7 +82,8 @@ class TestLassoPipeline:
                     data.features, data.labels, rng=rng)
                 return excess_empirical_risk(loss, res.w, data.w_star,
                                              data.features, data.labels)
-            errors[eps] = ExperimentRunner(n_trials=4, seed=2).run(trial).mean
+            errors[eps] = TrialStats.from_values(
+                [trial(r) for r in spawn_rngs(2, 4)]).mean
         assert errors[4.0] < errors[0.2]
 
 
@@ -100,7 +104,8 @@ class TestSparsePipeline:
                     sparsity=s_star, epsilon=8.0, delta=1e-5).fit(
                     data.features, data.labels, rng=rng)
                 return float(np.linalg.norm(res.w - w_star))
-            errors[s_star] = ExperimentRunner(n_trials=3, seed=3).run(trial).mean
+            errors[s_star] = TrialStats.from_values(
+                [trial(r) for r in spawn_rngs(3, 3)]).mean
         assert errors[16] > errors[2]
 
     def test_error_decreases_with_n(self):
@@ -118,7 +123,8 @@ class TestSparsePipeline:
                     sparsity=3, epsilon=4.0, delta=1e-5).fit(
                     data.features, data.labels, rng=rng)
                 return float(np.linalg.norm(res.w - w_star))
-            errors[n] = ExperimentRunner(n_trials=3, seed=4).run(trial).mean
+            errors[n] = TrialStats.from_values(
+                [trial(r) for r in spawn_rngs(4, 3)]).mean
         assert errors[80_000] < errors[10_000]
 
 

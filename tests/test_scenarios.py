@@ -106,7 +106,7 @@ class TestScenarioProtocol:
     @pytest.mark.parametrize("name", bench_names())
     def test_every_catalog_point_pickles(self, name, full):
         """Every catalog panel point crosses a process boundary intact,
-        so the process executor never needs a serial fallback."""
+        so the fleet executor never needs a serial fallback."""
         for panel in bench(name, full=full).panels:
             clone = pickle.loads(pickle.dumps(panel.point))
             assert clone == panel.point
@@ -114,20 +114,21 @@ class TestScenarioProtocol:
 
 
 class TestExecutorBitIdentityOnBenchScenario:
-    def test_serial_thread_process_agree(self):
+    def test_serial_thread_fleet_agree(self):
         """The acceptance property: a real bench scenario produces
-        bit-identical result tables on every executor."""
+        bit-identical result tables on every executor, including the
+        fleet, the one that pickles the scenario to its workers."""
         grid = dict(n_trials=2, seed=220)
         results = {
             name: run_grid(_bench_scenario(), "d", [10, 20],
                            "method", ["peeling", "dense-laplace"],
                            executor=name, max_workers=2, **grid)
-            for name in ("serial", "thread", "process")
+            for name in ("serial", "thread", "fleet")
         }
         for method in ("peeling", "dense-laplace"):
             serial = results["serial"].means(method).tolist()
             assert results["thread"].means(method).tolist() == serial
-            assert results["process"].means(method).tolist() == serial
+            assert results["fleet"].means(method).tolist() == serial
 
 
 class TestFingerprints:

@@ -204,6 +204,15 @@ class TestRunValidation:
             assert status == 400, body
             assert b"n_trials must be a positive integer" in body
 
+    def test_removed_process_executor_is_400(self, served):
+        _, base = served
+        status, _, body = _request(
+            f"{base}/run", method="POST",
+            body=json.dumps({"name": CHEAP_BENCH,
+                             "executor": "process"}).encode())
+        assert status == 400, body
+        assert b"unknown executor 'process'" in body
+
     def test_non_bool_full_is_400_naming_the_field(self, served):
         # bool("yes") is True: without route validation a string "full"
         # silently selects the paper-scale grid and 500s much later (or
