@@ -49,11 +49,7 @@ from repro import (
 )
 from repro.baselines import DPSGD, FrankWolfe, RegularDPFrankWolfe
 from repro.core import classic_fw_steps, dense_laplace_release, peeling
-from repro.core.batched import (
-    batch_fit_lasso,
-    fast_fit_dpfw,
-    fast_full_batch_fw,
-)
+from repro.core.batched import batch_fit_lasso
 from repro.estimators import CatoniEstimator, optimal_scale
 from repro.evaluation import Scenario, batch_method
 from repro.geometry import project_l1_ball
@@ -118,21 +114,16 @@ def _fit_l1_private(solver, data, eps, tau, delta, rng):
     return model.fit(data.features, data.labels, rng=rng).w
 
 
-def _batch_fit_l1_private(solver, datas, eps, tau, delta, rngs):
-    """Batched counterpart of :func:`_fit_l1_private` over a cell's trials.
+def _batch_fit_l1_private(datas, eps, delta, rngs):
+    """Private Lasso fits of a cell's trials, as :func:`_fit_l1_private`.
 
     Same solver construction, same per-trial Generator consumption, same
-    bits (see :mod:`repro.core.batched`): the lasso family stacks all
-    trials into one Gram-form Frank–Wolfe loop, the DP-FW family runs
-    the per-trial fast path.
+    bits (see :mod:`repro.core.batched`): all trials run in one stacked
+    Gram-form Frank–Wolfe loop.  The DP-FW family has no batched form;
+    its panels loop over ``__call__``.
     """
-    d = datas[0].dimension
-    if solver == "dpfw":
-        model = HeavyTailedDPFW(SQUARED, L1Ball(d), epsilon=eps, tau=tau,
-                                schedule_mode="theory")
-        return [fast_fit_dpfw(model, data.features, data.labels, rng)
-                for data, rng in zip(datas, rngs)]
-    model = HeavyTailedPrivateLasso(L1Ball(d), epsilon=eps, delta=delta)
+    model = HeavyTailedPrivateLasso(L1Ball(datas[0].dimension), epsilon=eps,
+                                    delta=delta)
     return batch_fit_lasso(model, [(data.features, data.labels)
                                    for data in datas], rngs)
 
@@ -178,12 +169,13 @@ class L1LinearPanel(Scenario):
     @batch_method
     def batch_point(self, d, x, rngs):
         """Whole-cell fast path; bit-identical to per-trial ``__call__``."""
+        if self.solver != "lasso":
+            return [float(self(d, x, rng)) for rng in rngs]
         n, eps = ((self.n_fixed, x) if self.sweep == "epsilon"
                   else (x, self.eps_fixed))
         datas = [_l1_linear_data(n, d, self.features, self.noise, rng)
                  for rng in rngs]
-        ws = _batch_fit_l1_private(self.solver, datas, eps, self.tau,
-                                   self.delta, rngs)
+        ws = _batch_fit_l1_private(datas, eps, self.delta, rngs)
         return [_squared_excess(w, data) for w, data in zip(ws, datas)]
 
 
@@ -226,12 +218,11 @@ class L1PrivateVsNonprivatePanel(Scenario):
     @batch_method
     def batch_point(self, kind, n, rngs):
         """Whole-cell fast path; bit-identical to per-trial ``__call__``."""
-        if kind != "private(eps=1)":
+        if kind != "private(eps=1)" or self.solver != "lasso":
             return [float(self(kind, n, rng)) for rng in rngs]
         datas = [_l1_linear_data(n, self.d_fixed, self.features, self.noise,
                                  rng) for rng in rngs]
-        ws = _batch_fit_l1_private(self.solver, datas, 1.0, self.tau,
-                                   self.delta, rngs)
+        ws = _batch_fit_l1_private(datas, 1.0, self.delta, rngs)
         return [_squared_excess(w, data) for w, data in zip(ws, datas)]
 
 
@@ -491,20 +482,6 @@ class CatoniVsClippingAblation(Scenario):
                 data.features, data.labels, rng=rng).w
         return _squared_excess(w, data)
 
-    @batch_method
-    def batch_point(self, method, n, rngs):
-        """Whole-cell fast path; bit-identical to per-trial ``__call__``."""
-        if method != "catoni-dpfw":
-            return [float(self(method, n, rng)) for rng in rngs]
-        solver = HeavyTailedDPFW(SQUARED, L1Ball(self.d), epsilon=1.0,
-                                 tau=5.0)
-        values = []
-        for rng in rngs:
-            data = _l1_linear_data(n, self.d, self.features, self.noise, rng)
-            w = fast_fit_dpfw(solver, data.features, data.labels, rng)
-            values.append(_squared_excess(w, data))
-        return values
-
 
 @dataclass(frozen=True)
 class PeelingVsDenseAblation(Scenario):
@@ -565,20 +542,6 @@ class ScaleParameterAblation(Scenario):
                                  scale=self.theory_scale * multiplier)
         res = solver.fit(data.features, data.labels, rng=rng)
         return _squared_excess(res.w, data)
-
-    @batch_method
-    def batch_point(self, _, multiplier, rngs):
-        """Whole-cell fast path; bit-identical to per-trial ``__call__``."""
-        solver = HeavyTailedDPFW(SQUARED, L1Ball(self.d), epsilon=1.0,
-                                 tau=5.0,
-                                 scale=self.theory_scale * multiplier)
-        values = []
-        for rng in rngs:
-            data = _l1_linear_data(self.n, self.d, self.features, self.noise,
-                                   rng)
-            w = fast_fit_dpfw(solver, data.features, data.labels, rng)
-            values.append(_squared_excess(w, data))
-        return values
 
 
 @dataclass(frozen=True)
@@ -643,25 +606,6 @@ def _composed_catoni_dpfw(data, epsilon, d, delta, rng):
     return w
 
 
-def _batch_composed_catoni_dpfw(data, epsilon, d, delta, rng):
-    """Fast replica of :func:`_composed_catoni_dpfw`, same draws and bits.
-
-    Identical schedule/estimator/budget arithmetic; the per-iteration
-    loop runs through :func:`repro.core.batched.fast_full_batch_fw`.
-    """
-    n = data.n_samples
-    solver = HeavyTailedDPFW(SQUARED, L1Ball(d), epsilon=epsilon, tau=5.0)
-    schedule = solver.resolve_schedule(n)
-    T = schedule.n_iterations
-    catoni = CatoniEstimator(scale=schedule.scale, beta=schedule.beta)
-    ball = L1Ball(d)
-    eps_step = epsilon / (2.0 * math.sqrt(2.0 * T * math.log(1.0 / delta)))
-    sensitivity = ball.l1_diameter() * catoni.sensitivity(n)
-    return fast_full_batch_fw(SQUARED, ball, data.features, data.labels,
-                              catoni, eps_step, sensitivity,
-                              classic_fw_steps(T), rng)
-
-
 @dataclass(frozen=True)
 class SplitVsComposedAblation(Scenario):
     """Ablation: Algorithm 1's data splitting vs full-batch composition.
@@ -688,23 +632,6 @@ class SplitVsComposedAblation(Scenario):
         else:
             w = _composed_catoni_dpfw(data, 1.0, self.d, self.delta, rng)
         return _squared_excess(w, data)
-
-    @batch_method
-    def batch_point(self, method, n, rngs):
-        """Whole-cell fast path; bit-identical to per-trial ``__call__``."""
-        split = method == "split (paper, eps-DP)"
-        solver = (HeavyTailedDPFW(SQUARED, L1Ball(self.d), epsilon=1.0,
-                                  tau=5.0) if split else None)
-        values = []
-        for rng in rngs:
-            data = _l1_linear_data(n, self.d, self.features, self.noise, rng)
-            if split:
-                w = fast_fit_dpfw(solver, data.features, data.labels, rng)
-            else:
-                w = _batch_composed_catoni_dpfw(data, 1.0, self.d,
-                                                self.delta, rng)
-            values.append(_squared_excess(w, data))
-        return values
 
 
 # ---------------------------------------------------------------------------
@@ -747,22 +674,6 @@ class RobustRegressionExtension(Scenario):
         res = solver.fit(data.features, data.labels, rng=rng)
         return float(np.linalg.norm(res.w - data.w_star))
 
-    @batch_method
-    def batch_point(self, loss_name, x, rngs):
-        """Whole-cell fast path; bit-identical to per-trial ``__call__``."""
-        n, eps = ((x, self.eps_fixed) if self.sweep == "n"
-                  else (self.n_fixed, x))
-        loss = (BiweightLoss(c=self.biweight_c)
-                if loss_name == "biweight" else SquaredLoss())
-        solver = HeavyTailedDPFW(loss, L1Ball(self.d), epsilon=eps,
-                                 tau=self.tau)
-        values = []
-        for rng in rngs:
-            data = _l1_linear_data(n, self.d, self.features, self.noise, rng)
-            w = fast_fit_dpfw(solver, data.features, data.labels, rng)
-            values.append(float(np.linalg.norm(w - data.w_star)))
-        return values
-
 
 @dataclass(frozen=True)
 class WeakMomentsExtension(Scenario):
@@ -794,24 +705,6 @@ class WeakMomentsExtension(Scenario):
                                      tau=self.tau)
         res = solver.fit(data.features, data.labels, rng=rng)
         return float(np.linalg.norm(res.w - data.w_star, ord=1))
-
-    @batch_method
-    def batch_point(self, engine, n, rngs):
-        """Whole-cell fast path; bit-identical to per-trial ``__call__``."""
-        if engine == "truncated(v=0.4)":
-            solver = HeavyTailedDPFW(SQUARED, L1Ball(self.d), epsilon=1.0,
-                                     tau=self.tau,
-                                     gradient_estimator="truncated",
-                                     moment_order=self.moment_order)
-        else:
-            solver = HeavyTailedDPFW(SQUARED, L1Ball(self.d), epsilon=1.0,
-                                     tau=self.tau)
-        values = []
-        for rng in rngs:
-            data = _l1_linear_data(n, self.d, self.features, self.noise, rng)
-            w = fast_fit_dpfw(solver, data.features, data.labels, rng)
-            values.append(float(np.linalg.norm(w - data.w_star, ord=1)))
-        return values
 
 
 __all__ = [

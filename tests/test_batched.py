@@ -38,15 +38,10 @@ from repro.evaluation import (
     run_grid,
 )
 from repro.experiments.panels import (
-    CatoniVsClippingAblation,
     DistributionSpec,
     L1LinearPanel,
     L1PrivateVsNonprivatePanel,
-    RobustRegressionExtension,
-    ScaleParameterAblation,
-    SplitVsComposedAblation,
     TruncationThresholdAblation,
-    WeakMomentsExtension,
 )
 from repro.geometry import Hypercube, L1Ball, hypercube
 from repro.losses import SquaredLoss
@@ -189,15 +184,15 @@ class TestFingerprintNeutrality:
 
 _FEATURES = DistributionSpec("lognormal", {"sigma": 0.6})
 _NOISE = DistributionSpec("gaussian", {"scale": 0.1})
-_T_NOISE = DistributionSpec("student_t", {"df": 3.0})
 
 
 def _tiny_panels():
-    """One small instance + grid per batched catalog family."""
-    from repro.core import HeavyTailedDPFW, HeavyTailedPrivateLasso
-    from repro.losses import SquaredLoss as _SL
-    scale = HeavyTailedDPFW(_SL(), L1Ball(8), epsilon=1.0,
-                            tau=5.0).resolve_schedule(400).scale
+    """One small instance + grid per catalog family with a batch_point.
+
+    ``L1LinearPanel(solver="dpfw")`` checks the per-trial fallback of a
+    family whose DP-FW solver has no batched form.
+    """
+    from repro.core import HeavyTailedPrivateLasso
     threshold = HeavyTailedPrivateLasso(
         L1Ball(8), epsilon=1.0, delta=1e-5).resolve_schedule(400).threshold
     return [
@@ -210,26 +205,9 @@ def _tiny_panels():
         (L1PrivateVsNonprivatePanel(solver="lasso", features=_FEATURES,
                                     noise=_NOISE, d_fixed=6),
          "n", [300], "kind", ["private(eps=1)", "non-private"]),
-        (CatoniVsClippingAblation(features=_FEATURES, noise=_NOISE, d=8,
-                                  delta=1e-5),
-         "n", [400], "method", ["catoni-dpfw", "clipped-dpfw"]),
-        (ScaleParameterAblation(features=_FEATURES, noise=_NOISE, d=8,
-                                n=400, theory_scale=scale),
-         "s_multiplier", [0.2, 1.0], "metric", ["excess_risk"]),
         (TruncationThresholdAblation(features=_FEATURES, noise=_NOISE, d=8,
                                      n=400, theory_threshold=threshold),
          "K_multiplier", [0.3, 1.0], "metric", ["excess_risk"]),
-        (SplitVsComposedAblation(features=_FEATURES, noise=_NOISE, d=8,
-                                 delta=1e-5),
-         "n", [400], "method",
-         ["split (paper, eps-DP)", "composed ((eps,delta)-DP)"]),
-        (RobustRegressionExtension(features=_FEATURES, noise=_T_NOISE, d=8,
-                                   sweep="n", eps_fixed=1.0),
-         "n", [400], "loss", ["biweight", "squared"]),
-        (WeakMomentsExtension(
-            features=DistributionSpec("pareto", {"tail_index": 1.45}),
-            noise=_NOISE, d=6, moment_order=1.4),
-         "n", [400], "estimator", ["truncated(v=0.4)", "catoni"]),
     ]
 
 
@@ -258,7 +236,7 @@ class TestPanelBitIdentity:
 
     def test_batched_equals_scalar_on_thread_executor(self, monkeypatch):
         point, sweep_name, sweep_values, series_name, series_values = \
-            _tiny_panels()[5]  # the truncation ablation (lasso family)
+            _tiny_panels()[3]  # the truncation ablation (lasso family)
         batched = run_grid(point, sweep_name, sweep_values, series_name,
                            series_values, n_trials=2, seed=7,
                            executor="thread", max_workers=2)
@@ -397,15 +375,21 @@ class TestBatchedSpeedup:
             features=_FEATURES, noise=_NOISE, d=40, n=12_000,
             theory_threshold=threshold)
         grid = dict(n_trials=5, seed=240)
-        start = time.perf_counter()
-        batched = run_grid(point, "K_multiplier", [0.3, 1.0, 3.0],
-                           "metric", ["excess_risk"], **grid)
-        batched_seconds = time.perf_counter() - start
-        monkeypatch.setenv("REPRO_BATCH_TRIALS", "0")
-        start = time.perf_counter()
-        scalar = run_grid(point, "K_multiplier", [0.3, 1.0, 3.0],
-                          "metric", ["excess_risk"], **grid)
-        scalar_seconds = time.perf_counter() - start
+
+        def timed(batch_trials):
+            monkeypatch.setenv("REPRO_BATCH_TRIALS", batch_trials)
+            # One untimed run first: the process's one-time warm-up
+            # (imports, BLAS start-up, first-touch allocations) would
+            # otherwise land on whichever path is timed first.
+            run_grid(point, "K_multiplier", [0.3, 1.0, 3.0],
+                     "metric", ["excess_risk"], **grid)
+            start = time.perf_counter()
+            result = run_grid(point, "K_multiplier", [0.3, 1.0, 3.0],
+                              "metric", ["excess_risk"], **grid)
+            return result, time.perf_counter() - start
+
+        batched, batched_seconds = timed("1")
+        scalar, scalar_seconds = timed("0")
         assert _stats_tuple(batched) == _stats_tuple(scalar)
         assert batched_seconds < scalar_seconds
 

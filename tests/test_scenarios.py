@@ -15,6 +15,7 @@ import pickle
 import sys
 import textwrap
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,10 @@ from repro.evaluation import (
 )
 
 from repro.experiments import bench, bench_names, panels
+from repro.results import load_record
 from test_engine import _CountingExecutor  # shared helper
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 def _quadratic_point(series, x, rng, scale=1.0):
@@ -129,6 +133,17 @@ class TestExecutorBitIdentityOnBenchScenario:
             serial = results["serial"].means(method).tolist()
             assert results["thread"].means(method).tolist() == serial
             assert results["fleet"].means(method).tolist() == serial
+
+
+@pytest.mark.parametrize("name", bench_names())
+def test_catalog_fingerprints_match_committed_records(name):
+    """Every catalog panel's point fingerprint equals the one in its
+    committed record, so a refactor of a scenario module cannot move a
+    ``run_id`` unnoticed.  No cell is computed."""
+    definition = bench(name)
+    record = load_record(RESULTS / f"{definition.result_stem}.json")
+    assert [point_fingerprint(p.point) for p in definition.panels] == \
+           [p.point_fingerprint for p in record.panels]
 
 
 class TestFingerprints:
