@@ -98,18 +98,22 @@ class PanelDef:
         if recorder is not None:
             from ..results import cell_capture
             cells, on_cell = cell_capture()
+        # The same string run_grid would derive; computed once, it keys
+        # the cells and is recorded as the panel's fingerprint.
+        fingerprint = point_fingerprint(self.point)
         result = run_grid(self.point, "x", list(self.sweep_values),
                           "series", list(self.series_values),
                           n_trials=trials, seed=self.seed, executor=executor,
                           max_workers=max_workers, cache=cache,
-                          flight=flight, on_cell=on_cell)
+                          code_tag=fingerprint, flight=flight,
+                          on_cell=on_cell)
         if recorder is not None:
             recorder.add_panel(
                 title=self.title, x_name=self.x_name, sweep_name="x",
                 series_name="series", sweep_values=self.sweep_values,
                 series_values=self.series_values, seed=self.seed,
                 n_trials=trials,
-                point_fingerprint=point_fingerprint(self.point), cells=cells)
+                point_fingerprint=fingerprint, cells=cells)
         return {series: [stat.mean for stat in result.series[series]]
                 for series in self.series_values}
 

@@ -18,13 +18,14 @@ There is one worker and one coordinator loop.  Without
 — the loop ``repro fleet-worker`` runs as a process — under the
 options' :class:`~repro.fleet.faults.FaultSchedule`.  With a broker
 address it coordinates the socket broker there while real worker
-processes compute.  Either way the coordinator reaps expired leases
-and long-polls the broker until every cell is DONE or DEAD, then reads
-every cell's state and values back.  Values are
-bit-identical to serial regardless of scheduling, because every
-:class:`~repro.evaluation.TrialJob` carries its own seed material, and
-every injected fault is a pure function of the schedule seed, the cell
-digest and the attempt.
+processes compute.  Either way a healthy run costs the coordinator
+3 + k broker round trips for any cell count: ``reset``, one ``enqueue``
+of every cell, k ``outstanding`` long-polls that also reap expired
+leases, until every cell is DONE or DEAD, and one ``settle`` that reads
+every cell back.  Values are bit-identical to serial regardless of
+scheduling, because every :class:`~repro.evaluation.TrialJob` carries
+its own seed material, and every injected fault is a pure function of
+the schedule seed, the cell digest and the attempt.
 
 Cells the fleet could not complete (retry exhaustion) are returned as
 placeholder values with ``cacheable=False`` so the engine never
@@ -180,7 +181,7 @@ class FleetExecutor:
     broker at that address while real worker processes (``python -m
     repro fleet-worker``) compute.  Either way the coordinator speaks to
     its broker through a :class:`~repro.fleet.net.SocketBroker` and
-    settles by reading every cell back from it.
+    settles by reading every cell back from it in one ``settle``.
 
     One instance accumulates :attr:`stats` and :attr:`dead_letters`
     across its ``run`` calls; the service tier creates one per recorded
@@ -234,10 +235,12 @@ class FleetExecutor:
         """Reset the broker at ``address``, enqueue, and read back.
 
         Returns each cell's ``(values, elapsed)`` by digest; a
-        dead-lettered cell settles to ``None``.  ``failures`` collects
-        what in-process worker threads raised (a point function that
-        raises); the first one is re-raised here instead of waiting
-        for the cell to dead-letter.
+        dead-lettered cell settles to ``None``.  Every digest is read
+        back whatever ``enqueue`` replied: after this run's reset, a key
+        the broker knew came from this batch, resent after a lost ack.
+        ``failures`` collects what in-process worker threads raised (a
+        point function that raises); the first one is re-raised here
+        instead of waiting for the cell to dead-letter.
         """
         # Imported lazily: the networked tier imports this module.
         from .net.client import SocketBroker
@@ -248,32 +251,32 @@ class FleetExecutor:
                               force_reset=opts.force_reset,
                               reconnect_timeout=opts.reconnect_timeout)
         try:
-            jobs: Dict[str, object] = {}
-            for point, job in payloads:
-                if broker.enqueue(job.digest, (point, job)):
-                    jobs[job.digest] = job
+            jobs = {job.digest: job for _, job in payloads}
+            broker.enqueue_all([(job.digest, (point, job))
+                                for point, job in payloads])
             self._await_settled(broker, len(jobs), address, failures)
+            cells, counters, letters = broker.settle(list(jobs))
             settled: Dict[str, Optional[Tuple]] = {}
-            for key in jobs:
-                state = broker.state(key)
-                settled[key] = broker.result(key) if state == DONE else None
+            for key, (state, result) in cells.items():
+                settled[key] = result if state == DONE else None
                 if settled[key] is None and state != DEAD:
                     raise FleetError(f"cell {key} is {state!r} without "
                                      f"values after the fleet settled; "
                                      f"this is a fleet bug")
-            self._harvest(broker, jobs)
+            self._harvest(dict(counters, reconnects=broker.reconnects),
+                          letters, jobs)
         finally:
             broker.close()
         return settled
 
     def _await_settled(self, broker, n_cells: int, address: str,
                        failures: Sequence[BaseException]) -> None:
-        """Sweep ``expire``, then wait up to ``poll_interval`` in
-        ``outstanding``, until every cell is DONE or DEAD.
+        """Wait up to ``poll_interval`` in ``outstanding(now=...)``,
+        until every cell is DONE or DEAD.
 
-        The expire sweep is load-bearing: with every worker dead there
-        is nobody else to reap dangling leases, and without reaping a
-        crashed fleet would hang the run instead of dead-lettering it.
+        The reap ``now`` asks for is load-bearing: with every worker
+        dead there is nobody else to reap dangling leases, and without
+        it a crashed fleet would hang the run instead of dead-lettering it.
 
         Broker downtime degrades the loop instead of killing the run:
         the client already rides out ``reconnect_timeout`` of
@@ -287,8 +290,8 @@ class FleetExecutor:
         while True:
             now = time.time()
             try:
-                broker.expire(now)
-                outstanding = broker.outstanding(wait=opts.poll_interval)
+                outstanding = broker.outstanding(now=now,
+                                                 wait=opts.poll_interval)
             except (ConnectionError, OSError) as exc:
                 if time.time() >= deadline:
                     raise FleetError(
@@ -309,12 +312,11 @@ class FleetExecutor:
 
     # -- telemetry -----------------------------------------------------------
 
-    def _harvest(self, broker, jobs: Dict) -> None:
-        """Fold one settled broker into the executor-lifetime telemetry."""
-        for name, value in broker.counters.items():
+    def _harvest(self, counters: Dict[str, int], letters, jobs) -> None:
+        """Fold one settled run into the executor-lifetime telemetry."""
+        for name, value in counters.items():
             setattr(self.stats, name, getattr(self.stats, name) + value)
-        self.stats.reconnects += broker.reconnects
-        for letter in broker.dead_letters:
+        for letter in letters:
             job = jobs[letter.key]
             self.dead_letters.append({
                 "digest": letter.key,

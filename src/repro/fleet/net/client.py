@@ -6,13 +6,15 @@ the only way the coordinator,
 :class:`~repro.fleet.executor.FleetExecutor`, and every
 :class:`~repro.fleet.net.FleetWorker` talk to a broker — the loopback
 one of an in-process fleet or a networked one — and it is what lets
-the broker contract tests run verbatim against the socket.
+the broker contract tests run verbatim against the socket.  The
+observers read through :meth:`SocketBroker.settle`, one op for any keys.
 
 The client is thread-safe (one lock around each request/response
 exchange) so a worker's heartbeat thread can share its compute loop's
 connection.  A broken connection is retried transparently with a fresh
 socket: every operation is safe to resend, because the broker protocol
-itself absorbs redelivery — ``enqueue`` is idempotent by key,
+itself absorbs redelivery — ``enqueue`` is idempotent by key (a
+resent batch answers False for keys that already landed),
 ``complete`` by construction (a resent completion is counted as a
 duplicate and ignored), and ``heartbeat``/``fail``/``expire`` converge.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backoff import BackoffPolicy
 from ..broker import DeadLetter, Lease
@@ -58,7 +60,8 @@ class SocketBroker:
     would discard an in-flight run (live leases outstanding) with
     :class:`~repro.fleet.broker.BrokerBusyError`, re-raised here;
     ``force_reset=True`` overrides.  Workers connect with the defaults
-    and simply adopt whatever policy the server reports via ``ping``.
+    and simply adopt whatever policy the server reports via ``ping``
+    (or ``reset``: both answer with it and the protocol version).
     """
 
     def __init__(self, address: Union[str, Tuple[str, int]], *,
@@ -86,17 +89,24 @@ class SocketBroker:
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._wire = None
-        if reset:
-            self.call("reset", lease_timeout=lease_timeout,
-                      max_attempts=max_attempts,
-                      backoff=_backoff_to_args(backoff),
-                      force=True if force_reset else None)
-        info = self.call("ping")
-        if info["protocol"] != protocol.PROTOCOL_VERSION:
-            self.close()
-            raise protocol.ProtocolError(
-                f"broker speaks protocol {info['protocol']}, "
-                f"client speaks {protocol.PROTOCOL_VERSION}")
+        try:
+            if reset:
+                info = self.call("reset", lease_timeout=lease_timeout,
+                                 max_attempts=max_attempts,
+                                 backoff=_backoff_to_args(backoff),
+                                 force=True if force_reset else None)
+            else:
+                info = self.call("ping")
+            # Before protocol 3, ``reset`` answered with a bare True.
+            version = (info.get("protocol") if isinstance(info, dict)
+                       else "2 or older")
+            if version != protocol.PROTOCOL_VERSION:
+                raise protocol.ProtocolError(
+                    f"broker speaks protocol {version}, "
+                    f"client speaks {protocol.PROTOCOL_VERSION}")
+        except BaseException:
+            self.close()  # a refused client leaks no socket
+            raise
         self.lease_timeout: float = info["lease_timeout"]
         self.max_attempts: int = info["max_attempts"]
 
@@ -184,8 +194,12 @@ class SocketBroker:
 
     def enqueue(self, key: str, payload: object = None) -> bool:
         """Mirror :meth:`InProcessBroker.enqueue` (payload pickled)."""
-        return self.call("enqueue", key=key,
-                         payload=protocol.encode_payload(payload))
+        return self.enqueue_all([(key, payload)])[0]
+
+    def enqueue_all(self, items: Sequence[Tuple[str, object]]) -> List[bool]:
+        """:meth:`enqueue` every ``(key, payload)`` in one round trip."""
+        return self.call("enqueue", items=[
+            [key, protocol.encode_payload(payload)] for key, payload in items])
 
     def lease(self, now: float, wait: Optional[float] = None
               ) -> Optional[Lease]:
@@ -217,27 +231,39 @@ class SocketBroker:
         """Mirror :meth:`InProcessBroker.expire`."""
         return self.call("expire", now=now)
 
+    def outstanding(self, now: Optional[float] = None,
+                    wait: Optional[float] = None) -> int:
+        """Mirror :meth:`InProcessBroker.outstanding`.  With ``now`` the
+        server first reaps as :meth:`expire` does; it may hold the
+        request up to ``wait`` seconds for the count to reach 0."""
+        return self.call("outstanding", now=now, wait=wait)
+
+    def settle(self, keys: Sequence[str]
+               ) -> Tuple[Dict[str, tuple], Dict[str, int], List[DeadLetter]]:
+        """Every key's ``(state, result)``, the counters (``replayed``
+        included) and the payload-less dead letters, in one round trip;
+        an unknown key raises ``KeyError``."""
+        reply = self.call("settle", keys=list(keys))
+        return ({key: (state, protocol.result_from_wire(result))
+                 for key, (state, result) in zip(keys, reply["cells"])},
+                reply["counters"], [protocol.letter_from_wire(letter)
+                                    for letter in reply["dead_letters"]])
+
     def state(self, key: str) -> str:
-        """Mirror :meth:`InProcessBroker.state`."""
-        return self.call("state", key=key)
+        """Mirror :meth:`InProcessBroker.state` (through :meth:`settle`)."""
+        return self.settle([key])[0][key][0]
 
     def result(self, key: str
                ) -> Optional[Tuple[List[float], Optional[float]]]:
-        """Mirror :meth:`InProcessBroker.result`."""
-        return protocol.result_from_wire(self.call("result", key=key))
-
-    def outstanding(self, wait: Optional[float] = None) -> int:
-        """Mirror :meth:`InProcessBroker.outstanding`; the server may hold
-        the request up to ``wait`` seconds for the count to reach 0."""
-        return self.call("outstanding", wait=wait)
+        """Mirror :meth:`InProcessBroker.result` (through :meth:`settle`)."""
+        return self.settle([key])[0][key][1]
 
     @property
     def counters(self) -> Dict[str, int]:
         """Mirror :attr:`InProcessBroker.counters` (queried per access)."""
-        return self.call("counters")
+        return self.settle([])[1]
 
     @property
     def dead_letters(self) -> List[DeadLetter]:
         """Mirror :attr:`InProcessBroker.dead_letters` (payload-less)."""
-        return [protocol.letter_from_wire(wire_form)
-                for wire_form in self.call("dead_letters")]
+        return self.settle([])[2]

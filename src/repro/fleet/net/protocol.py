@@ -1,10 +1,11 @@
 """The broker wire protocol: JSON lines, one request/response per call.
 
-Every broker method maps to exactly one operation — the wire mirrors
-the :class:`~repro.fleet.broker.InProcessBroker` method contract
-verbatim, explicit ``now`` included, so the protocol runs against the
-wall clock in every fleet and against scripted instants in the
-contract tests without a special case on either side.
+The wire carries the :class:`~repro.fleet.broker.InProcessBroker`
+method contract, explicit ``now`` included, so the protocol runs
+against the wall clock in every fleet and against scripted instants in
+the contract tests without a special case on either side.  The
+coordinator's calls are batched, so a run costs it a fixed number of
+round trips whatever its cell count (see :data:`PROTOCOL_VERSION`).
 
 Framing is one JSON object per ``\\n``-terminated line (UTF-8, no
 embedded newlines — :func:`json.dumps` guarantees that).  Requests are
@@ -36,11 +37,14 @@ from ..broker import BrokerBusyError, DeadLetter, Lease
 # wire tier keeps its historical import path.
 from ..journal import decode_payload, encode_payload  # noqa: F401
 
-#: Bumped on any incompatible wire change; ``ping`` reports it so a
-#: mismatched client can refuse loudly instead of failing strangely.
-#: Version 2 added ``wait`` (a long-poll) to ``lease``/``outstanding``;
-#: a version-1 broker would ignore it and leave its callers spinning.
-PROTOCOL_VERSION = 2
+#: Bumped on any incompatible wire change; ``ping`` and ``reset``
+#: report it so a mismatched client can refuse loudly instead of
+#: failing strangely.  Version 2 added ``wait`` (a long-poll) to
+#: ``lease``/``outstanding``.  Version 3 made ``enqueue`` take a list
+#: of items, ``reset`` answer with the ``ping`` info, ``outstanding``
+#: reap at an optional ``now``, and one ``settle`` replace the
+#: ``state``/``result``/``counters``/``dead_letters`` reads.
+PROTOCOL_VERSION = 3
 
 #: Exception kinds the client re-raises as their local class; anything
 #: else surfaces as a :class:`ProtocolError` carrying the remote text.

@@ -16,12 +16,15 @@ and the contract tests send scripted instants.  It measures only its
 own wait: a ``lease``/``outstanding`` with ``wait`` long-polls until a
 mutation changes the broker, and a lease granted after ``W`` seconds
 is stamped (and journalled) at ``now + W``, never with a stale deadline.
+An ``outstanding`` with ``now`` reaps first, so the coordinator's
+settle wait is also its lease reaper.
 
 A ``reset`` operation atomically replaces the broker with a fresh one
 configured by the caller (lease policy and backoff travel as plain
-parameters).  The coordinator issues it once per networked run so counters
-and dead letters describe exactly that run.  Two coordinators sharing
-one broker cannot silently clobber each other: ``reset`` refuses with
+parameters) and answers with the ``ping`` info.  The coordinator
+issues it once per networked run so counters and dead letters describe
+exactly that run.  Two coordinators sharing one broker cannot silently
+clobber each other: ``reset`` refuses with
 :class:`~repro.fleet.broker.BrokerBusyError` while workers hold live
 leases (an in-flight run), unless the caller passes ``force=true``.
 
@@ -242,16 +245,21 @@ class BrokerServer:
 
         Payloads pass through opaque: the server never unpickles what
         it queues, it only hands the encoded string back inside the
-        lease.  A ``lease``/``outstanding`` with ``wait`` retries on each
+        lease.  An ``outstanding`` with ``now`` reaps expired leases
+        first.  A ``lease``/``outstanding`` with ``wait`` retries on each
         state change until it succeeds or ``wait`` seconds run out.
         """
         wait = args.get("wait") if op in ("lease", "outstanding") else None
         with self._changed:
+            if (op == "outstanding" and args.get("now") is not None
+                    and self._broker.expire(args["now"])):
+                self._changed.notify_all()
             if wait is None:
                 result = self._apply(op, args)
-                # Falsy: a duplicate enqueue or an empty expire, no change.
-                if result and op in ("enqueue", "complete", "fail",
-                                     "expire", "reset"):
+                # Falsy: duplicate enqueues or an empty expire, no change.
+                changed = any(result) if op == "enqueue" else result
+                if changed and op in ("enqueue", "complete", "fail",
+                                      "expire", "reset"):
                     self._changed.notify_all()
                 return result
             start, waited = time.monotonic(), 0.0
@@ -278,7 +286,8 @@ class BrokerServer:
                     "lease_timeout": broker.lease_timeout,
                     "max_attempts": broker.max_attempts}
         if op == "enqueue":
-            return broker.enqueue(args["key"], args.get("payload"))
+            return [broker.enqueue(key, payload)
+                    for key, payload in args["items"]]
         if op == "lease":
             lease = broker.lease(args["now"])
             return None if lease is None else protocol.lease_to_wire(lease)
@@ -293,20 +302,19 @@ class BrokerServer:
                                args.get("reason", "failed"))
         if op == "expire":
             return broker.expire(args["now"])
-        if op == "state":
-            return broker.state(args["key"])
-        if op == "result":
-            return protocol.result_to_wire(broker.result(args["key"]))
         if op == "outstanding":
             return broker.outstanding()
-        if op == "counters":
+        if op == "settle":
             # ``replayed`` rides along without living in the broker's
             # counters dict: recovery provenance for stats surfaces,
             # excluded from the replayed-state-equality contract.
-            return {**broker.counters, "replayed": broker.replayed}
-        if op == "dead_letters":
-            return [protocol.letter_to_wire(letter)
-                    for letter in broker.dead_letters]
+            return {"cells": [[broker.state(key),
+                               protocol.result_to_wire(broker.result(key))]
+                              for key in args["keys"]],
+                    "counters": {**broker.counters,
+                                 "replayed": broker.replayed},
+                    "dead_letters": [protocol.letter_to_wire(letter)
+                                     for letter in broker.dead_letters]}
         if op == "reset":
             held = broker.active_leases()
             if held and not args.get("force"):
@@ -330,7 +338,7 @@ class BrokerServer:
                                            max_attempts=max_attempts,
                                            backoff=backoff,
                                            journal=self._journal)
-            return True
+            return self._apply("ping", {})
         raise protocol.ProtocolError(f"unknown op {op!r}")
 
 

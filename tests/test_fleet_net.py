@@ -30,6 +30,7 @@ from repro.fleet import (
     DEAD,
     DONE,
     LEASED,
+    QUEUED,
     BackoffPolicy,
     BrokerBusyError,
     FaultSchedule,
@@ -84,6 +85,13 @@ def server():
         yield live
 
 
+@pytest.fixture()
+def broker(server):
+    """A client of ``server``, closed after the test."""
+    with SocketBroker(server.address) as client:
+        yield client
+
+
 class TestProtocol:
     def test_payload_round_trip(self):
         payload = ("point", {"nested": [1.5, None]})
@@ -116,8 +124,7 @@ class TestProtocol:
 class TestSocketContractParity:
     """The broker method contract, verbatim, over the wire."""
 
-    def test_lease_lifecycle_with_explicit_now(self, server):
-        broker = SocketBroker(server.address)
+    def test_lease_lifecycle_with_explicit_now(self, broker):
         assert broker.lease_timeout == 5.0 and broker.max_attempts == 3
         assert broker.enqueue("k1", ("point", "job")) is True
         assert broker.enqueue("k1") is False  # idempotent by key
@@ -138,16 +145,14 @@ class TestSocketContractParity:
         counters = broker.counters
         assert counters["completed"] == 1 and counters["heartbeats"] == 1
 
-    def test_unknown_lease_id_raises_keyerror_through_the_wire(self, server):
-        broker = SocketBroker(server.address)
+    def test_unknown_lease_id_raises_keyerror_through_the_wire(self, broker):
         with pytest.raises(KeyError):
             broker.complete(999, now=1.0)
         with pytest.raises(KeyError):
             broker.fail(999, now=1.0)
         assert broker.heartbeat(999, now=1.0) is False
 
-    def test_expiry_retry_and_dead_letter_over_the_wire(self, server):
-        broker = SocketBroker(server.address)
+    def test_expiry_retry_and_dead_letter_over_the_wire(self, broker):
         broker.enqueue("doomed")
         for attempt in range(3):
             # A thousand seconds apart: far past any backoff hold.
@@ -162,10 +167,9 @@ class TestSocketContractParity:
         assert letters[0].key == "doomed" and letters[0].attempts == 3
         assert broker.counters["dead"] == 1
 
-    def test_duplicate_delivery_over_the_socket(self, server):
+    def test_duplicate_delivery_over_the_socket(self, broker):
         """A lease expires and the cell is redelivered; both workers
         complete it — the straggler lands late, the retry is absorbed."""
-        broker = SocketBroker(server.address)
         broker.enqueue("twice")
         first = broker.lease(now=10.0)
         assert broker.expire(now=20.0) == [first.lease_id]
@@ -181,9 +185,8 @@ class TestSocketContractParity:
         # The first completion's values stick.
         assert broker.result("twice") == ([7.0], None)
 
-    def test_dropped_connection_mid_complete_is_idempotent(self, server):
+    def test_dropped_connection_mid_complete_is_idempotent(self, broker):
         """A client that loses the ack resends; the broker absorbs it."""
-        broker = SocketBroker(server.address)
         broker.enqueue("flaky")
         lease = broker.lease(now=1.0)
         assert broker.complete(lease.lease_id, now=2.0,
@@ -197,15 +200,22 @@ class TestSocketContractParity:
         assert counters["completed"] == 1 and counters["duplicates"] == 1
         assert broker.result("flaky") == ([5.0], None)
 
-    def test_reset_installs_a_fresh_broker(self, server):
-        stale = SocketBroker(server.address)
-        stale.enqueue("old")
-        fresh = SocketBroker(server.address, lease_timeout=2.0,
-                             max_attempts=5, reset=True)
-        assert fresh.lease_timeout == 2.0 and fresh.max_attempts == 5
-        assert fresh.counters["enqueued"] == 0
-        with pytest.raises(KeyError):
-            fresh.state("old")
+    def test_reset_installs_a_fresh_broker(self, server, broker):
+        broker.enqueue("old")
+        with SocketBroker(server.address, lease_timeout=2.0,
+                          max_attempts=5, reset=True) as fresh:
+            assert fresh.lease_timeout == 2.0 and fresh.max_attempts == 5
+            assert fresh.counters["enqueued"] == 0
+            with pytest.raises(KeyError):
+                fresh.state("old")
+
+    def test_batched_enqueue_answers_per_item(self, broker):
+        assert broker.enqueue_all([("a", 1), ("b", None)]) == [True, True]
+        assert broker.enqueue_all([("b", 2), ("c", 3)]) == [False, True]
+        assert broker.lease(now=1.0).payload == 1
+        cells, counters, letters = broker.settle(["a", "c"])
+        assert cells == {"a": (LEASED, None), "c": (QUEUED, None)}
+        assert counters["enqueued"] == 3 and letters == []
 
 
 def _spawn_workers(server, n, **kwargs):
@@ -232,6 +242,36 @@ def _reap_workers(workers, threads):
         worker.broker.close()
 
 
+def _spy_ops(patch):
+    """The list of wire ops this thread sends from now on, by name."""
+    caller, ops, call = threading.get_ident(), [], SocketBroker.call
+
+    def spy(self, op, **args):
+        if threading.get_ident() == caller:
+            ops.append(op)
+        return call(self, op, **args)
+    patch.setattr(SocketBroker, "call", spy)
+    return ops
+
+
+def _coordinator_ops(server, monkeypatch, x_values):
+    """The wire ops the coordinator sends for one healthy grid run."""
+    workers, threads = _spawn_workers(server, 2)
+    remote = FleetExecutor(FleetOptions(
+        broker=server.address, poll_interval=0.02, run_timeout=60.0,
+        **FAST))
+    grid = (_fleet_point, "x", x_values, "series", SERIES_VALUES)
+    kwargs = dict(n_trials=N_TRIALS, seed=GRID_SEED)
+    try:
+        with monkeypatch.context() as patch:
+            ops = _spy_ops(patch)
+            fleet = run_grid(*grid, executor=remote, **kwargs)
+    finally:
+        _reap_workers(workers, threads)
+    assert fleet == run_grid(*grid, executor="serial", **kwargs)
+    return ops
+
+
 class TestRealWorkers:
     """Networked FleetExecutor + FleetWorker loops on wall clock."""
 
@@ -250,32 +290,44 @@ class TestRealWorkers:
         assert sum(w.leased for w in workers) == len(_grid_digests())
 
     def test_faultless_run_wire_ops_are_pinned(self, server, monkeypatch):
-        """The coordinator's round trips for one healthy N-cell run."""
+        """The coordinator's round trips for one healthy run: 3 + k."""
+        ops = _coordinator_ops(server, monkeypatch, X_VALUES)
+        assert ops[:2] == ["reset", "enqueue"] and ops[-1] == "settle"
+        assert ops[2:-1] and ops[2:-1] == ["outstanding"] * len(ops[2:-1])
+
+    def test_round_trips_do_not_grow_with_the_cell_count(self, server,
+                                                          monkeypatch):
+        small = _coordinator_ops(server, monkeypatch, X_VALUES)
+        large = _coordinator_ops(server, monkeypatch,
+                                 X_VALUES + [x + 10 for x in X_VALUES])
+        assert ([op for op in small if op != "outstanding"]
+                == [op for op in large if op != "outstanding"]
+                == ["reset", "enqueue", "settle"])
+
+    def test_lost_enqueue_ack_still_settles_every_cell(self, server,
+                                                        monkeypatch):
+        """The batch lands but its reply is lost; the resent batch is
+        refused key by key, and the run still reads every cell back."""
+        dispatch, lost = server.dispatch, []
+
+        def drop_first_enqueue_ack(op, args):
+            result = dispatch(op, args)
+            if op == "enqueue" and not lost:
+                lost.append(result)
+                server._server.close_connections()
+            return result
+        monkeypatch.setattr(server, "dispatch", drop_first_enqueue_ack)
+        serial = _run("serial")
         workers, threads = _spawn_workers(server, 2)
-        coordinator = threading.get_ident()
-        ops = []
-        call = SocketBroker.call
-
-        def spy(self, op, **args):
-            if threading.get_ident() == coordinator:
-                ops.append(op)
-            return call(self, op, **args)
-
-        monkeypatch.setattr(SocketBroker, "call", spy)
         remote = FleetExecutor(FleetOptions(
             broker=server.address, poll_interval=0.02, run_timeout=60.0,
             **FAST))
         try:
-            assert _run(remote) == _run("serial")
+            assert _run(remote) == serial
         finally:
             _reap_workers(workers, threads)
-        n = len(_grid_digests())
-        polls = ops[2 + n:-2 - 2 * n]
-        assert ops[:2 + n] == ["reset", "ping"] + ["enqueue"] * n
-        assert polls and polls == ["expire", "outstanding"] * (len(polls)
-                                                               // 2)
-        assert ops[-2 - 2 * n:] == (["state", "result"] * n
-                                    + ["counters", "dead_letters"])
+        assert lost == [[True] * len(_grid_digests())]
+        assert remote.stats.reconnects >= 1
 
     def test_worker_killed_mid_lease_retries_elsewhere(self, server):
         """A worker dies holding a lease; the survivor finishes the grid."""
@@ -520,6 +572,57 @@ class TestLongPoll:
         with pytest.raises(protocol.ProtocolError, match="protocol 1"):
             SocketBroker(server.address)
 
+    def test_client_refuses_a_protocol_2_reset(self, server, monkeypatch):
+        """A protocol-2 broker answers ``reset`` with True, not the info."""
+        dispatch = server.dispatch
+        monkeypatch.setattr(server, "dispatch", lambda op, args: (
+            True if op == "reset" else dispatch(op, args)))
+        with pytest.raises(protocol.ProtocolError,
+                           match="protocol 2 or older"):
+            SocketBroker(server.address, reset=True)
+
+
+class TestSettleWaitReaps:
+    """``outstanding(now=...)`` reaps: the coordinator sends no ``expire``."""
+
+    @pytest.mark.parametrize("max_attempts", [3, 1])
+    def test_dangling_lease_is_retried_or_dead_lettered(self, monkeypatch,
+                                                        max_attempts):
+        digests = _grid_digests()
+        ops = _spy_ops(monkeypatch)
+        # In-process workers: the kill abandons the lease, the thread
+        # re-enters its loop, and only a reap frees the cell again.
+        remote = FleetExecutor(FleetOptions(
+            n_workers=2, poll_interval=0.02, run_timeout=30.0,
+            faults=FaultSchedule(kill={(digests[0], 0)}),
+            **dict(FAST, max_attempts=max_attempts)))
+        result = _run(remote)
+        assert "expire" not in ops
+        assert remote.stats.expired == 1
+        if max_attempts == 1:
+            assert [d["digest"] for d in remote.dead_letters] == digests[:1]
+            assert result.series[SERIES_VALUES[0]][0].mean == 0.0
+        else:
+            assert result == _run("serial")
+            assert remote.stats.retried == 1 and not remote.dead_letters
+
+    def test_reap_inside_outstanding_is_journalled_and_replays(self,
+                                                               tmp_path):
+        journal = tmp_path / "broker.wal"
+        with BrokerServer(lease_timeout=5.0, journal=str(journal)) as live:
+            with SocketBroker(live.address) as broker:
+                broker.enqueue_all([("a", ("point", 1)), ("b", None)])
+                lease = broker.lease(now=10.0)
+                assert broker.outstanding(now=12.0) == 2  # not yet due
+                assert broker.outstanding(now=20.0, wait=0.01) == 2
+                counters = broker.counters
+                assert broker.lease(now=1000.0).key == lease.key
+            assert counters["expired"] == 1 and counters["retried"] == 1
+            assert [op for op, _ in read_journal(journal)[1]] == [
+                "enqueue", "enqueue", "lease", "expire", "lease"]
+            assert (replay_journal(journal).snapshot()
+                    == live._broker.snapshot())
+
 
 #: Fast reconnect backoff so the outage tests finish in milliseconds.
 QUICK_RECONNECT = BackoffPolicy(base=0.02, factor=2.0, cap=0.05, jitter=0.0)
@@ -542,6 +645,7 @@ class TestReconnectAndRecovery:
             assert broker.outstanding() == 0  # unjournalled state died
             assert broker.enqueue("doomed") is True  # and the key is free
         finally:
+            broker.close()
             second.stop()
         assert broker.reconnects >= 1
 
@@ -559,16 +663,16 @@ class TestReconnectAndRecovery:
         with pytest.raises(ValueError, match="reconnect_timeout"):
             SocketBroker(server.address, reconnect_timeout=0.0)
 
-    def test_reset_refused_while_leases_outstanding(self, server):
-        coordinator = SocketBroker(server.address)
-        coordinator.enqueue("busy")
-        assert coordinator.lease(now=time.time()) is not None
+    def test_reset_refused_while_leases_outstanding(self, server, broker):
+        broker.enqueue("busy")
+        assert broker.lease(now=time.time()) is not None
         with pytest.raises(BrokerBusyError, match="reset refused"):
             SocketBroker(server.address, reset=True)
         # The in-flight run survived the refused reset untouched.
-        assert coordinator.state("busy") == LEASED
-        forced = SocketBroker(server.address, reset=True, force_reset=True)
-        assert forced.counters["enqueued"] == 0
+        assert broker.state("busy") == LEASED
+        with SocketBroker(server.address, reset=True,
+                          force_reset=True) as forced:
+            assert forced.counters["enqueued"] == 0
 
     def test_worker_retries_lease_polls_while_broker_is_down(self):
         server = BrokerServer().start()
@@ -603,9 +707,10 @@ class TestReconnectAndRecovery:
             assert counters["replayed"] == 2
             assert counters["completed"] == 1
             # A wire reset compacts the journal back to config-only.
-            SocketBroker(second.address, reset=True)
+            SocketBroker(second.address, reset=True).close()
             assert read_journal(journal)[1] == []
         finally:
+            broker.close()
             second.stop()
 
     def test_broker_crash_mid_run_replays_and_stays_bit_identical(

@@ -493,3 +493,34 @@ class TestModuleTokenDescriptors:
             assert module_token(name) != before
         finally:
             del sys.modules[name]
+
+
+def test_recorded_panel_run_fingerprints_its_point_once(monkeypatch):
+    """``PanelDef.run`` derives the fingerprint once and hands it to
+    ``run_grid`` as the code tag, so ``run_grid`` derives none: same
+    digests, same record.  (The spies wrap the catalog's bindings only:
+    a spy bound in ``scenarios`` would enter the fingerprint walk.)"""
+    from repro.experiments import bench_recorder, catalog
+    calls, tags = [], []
+    real_fingerprint, real_run_grid = point_fingerprint, catalog.run_grid
+
+    def spy_fingerprint(point):
+        calls.append(point)
+        return real_fingerprint(point)
+
+    def spy_run_grid(*args, **kwargs):
+        tags.append(kwargs.get("code_tag"))
+        return real_run_grid(*args, **kwargs)
+    monkeypatch.setattr(catalog, "point_fingerprint", spy_fingerprint)
+    monkeypatch.setattr(catalog, "run_grid", spy_run_grid)
+    definition = bench("ablation_truncation_threshold")
+    recorder = bench_recorder(definition)
+    for panel in definition.panels:
+        panel.run(recorder=recorder)
+    record = recorder.finalize()
+    assert calls == [panel.point for panel in definition.panels]
+    assert tags == [p.point_fingerprint for p in record.panels]
+    committed = load_record(RESULTS / f"{definition.result_stem}.json")
+    assert ([p.point_fingerprint for p in record.panels]
+            == [p.point_fingerprint for p in committed.panels])
+    assert record.run_id == committed.run_id
