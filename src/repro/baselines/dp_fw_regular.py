@@ -21,7 +21,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .._validation import check_dataset, check_positive, check_vector
+from .._validation import (check_dataset, check_positive, check_probability,
+                           check_vector)
 from ..core.hyperparams import classic_fw_steps
 from ..core.result import FitResult
 from ..geometry.polytope import Polytope
@@ -54,7 +55,7 @@ class RegularDPFrankWolfe:
 
     def __post_init__(self) -> None:
         check_positive(self.epsilon, "epsilon")
-        check_positive(self.delta, "delta")
+        check_probability(self.delta, "delta", allow_zero=False, allow_one=False)
         check_positive(self.lipschitz_bound, "lipschitz_bound")
 
     def fit(self, X: np.ndarray, y: np.ndarray,

@@ -9,7 +9,10 @@ under bounded *fourth* moments (Assumption 3):
 2. ``T`` Frank–Wolfe iterations each run the exponential mechanism over
    the vertex set with score ``-<v, g̃(w, D̃)>``, sensitivity
    ``8 ||W||_1 K^2 / n`` and per-iteration budget
-   ``eps / (2 sqrt(2 T log(1/delta)))``;
+   ``eps / (2 sqrt(2 T log(1/delta)))``.  The gradient
+   ``g̃ = 2 X̃ᵀ(X̃ w − ỹ) / n`` is evaluated in Gram form
+   ``2 (G w − c) / n`` with ``G = X̃ᵀX̃`` and ``c = X̃ᵀỹ`` computed once,
+   so an iteration costs ``O(d²)`` instead of two passes over the data;
 3. the advanced composition theorem (Lemma 2) makes the whole run
    (ε, δ)-DP — the full dataset is reused every iteration, unlike
    Algorithm 1.
@@ -26,7 +29,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .._validation import check_dataset, check_positive, check_vector
+from .._validation import (check_dataset, check_positive, check_probability,
+                           check_vector)
 from ..estimators.truncation import shrink_dataset
 from ..geometry.polytope import Polytope
 from ..losses.squared import SquaredLoss
@@ -68,7 +72,7 @@ class HeavyTailedPrivateLasso:
 
     def __post_init__(self) -> None:
         check_positive(self.epsilon, "epsilon")
-        check_positive(self.delta, "delta")
+        check_probability(self.delta, "delta", allow_zero=False, allow_one=False)
         self._loss = SquaredLoss()
 
     def resolve_schedule(self, n_samples: int) -> LassoSchedule:
@@ -107,6 +111,8 @@ class HeavyTailedPrivateLasso:
             raise ValueError(f"need {T} step sizes, got {len(steps)}")
 
         X_shrunk, y_shrunk = shrink_dataset(X, y, K)
+        gram = X_shrunk.T @ X_shrunk
+        cross = X_shrunk.T @ y_shrunk
         diameter = self.polytope.l1_diameter()
         # Sensitivity of u(D, v) from the Theorem 4 proof: 8 ||W||_1 K^2 / n
         # (with ||W||_1 = 2 for the unit l1 ball the paper's constant).
@@ -126,8 +132,7 @@ class HeavyTailedPrivateLasso:
         selected_vertices: List[int] = []
 
         for t in range(T):
-            residual = X_shrunk @ w - y_shrunk
-            g_tilde = 2.0 * (X_shrunk.T @ residual) / n
+            g_tilde = 2.0 * (gram @ w - cross) / n
             scores = self.polytope.vertex_scores(g_tilde)
             vertex_index = mechanism.select(scores, rng=rng)
             vertex = self.polytope.vertex(vertex_index)

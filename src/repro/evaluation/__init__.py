@@ -18,7 +18,6 @@ from .scenarios import (
     FingerprintError,
     PointSpec,
     Scenario,
-    batch_method,
     module_token,
     point_fingerprint,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TrialJob",
     "TrialStats",
     "ascii_plot",
-    "batch_method",
     "build_jobs",
     "classification_accuracy",
     "excess_empirical_risk",

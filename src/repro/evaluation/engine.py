@@ -224,34 +224,9 @@ class TrialJob:
                                       spawn_key=self.spawn_key)
 
     def execute(self, point: PointFn) -> List[float]:
-        """Run all trials of this cell and return the raw trial values.
-
-        Points that implement the opt-in batched protocol
-        ``batch_point(series_value, sweep_value, rngs) -> list[float]``
-        (see :class:`~repro.evaluation.scenarios.Scenario`) receive the
-        whole cell as one call — every executor (serial, thread,
-        fleet) routes through this method, so one dispatch point
-        covers them all.  The batched path is contractually
-        bit-identical to the scalar loop: each trial's Generator must
-        be consumed with exactly the draws, in exactly the order, of
-        the scalar path, so trial values — and therefore cache digests,
-        run records, and ``run_id`` s — are unchanged.  Setting
-        ``REPRO_BATCH_TRIALS=0`` in the environment forces the scalar
-        loop (an escape hatch for A/B-ing the two paths; it can never
-        change a result).
-        """
-        rngs = spawn_rngs(self.seed_sequence(), self.n_trials)
-        batch = getattr(point, "batch_point", None)
-        if callable(batch) and os.environ.get("REPRO_BATCH_TRIALS", "1") != "0":
-            values = [float(v) for v in
-                      batch(self.series_value, self.sweep_value, rngs)]
-            if len(values) != self.n_trials:
-                raise ValueError(
-                    f"batch_point returned {len(values)} values for a cell "
-                    f"of {self.n_trials} trials")
-            return values
+        """Run all trials of this cell and return the raw trial values."""
         return [float(point(self.series_value, self.sweep_value, rng))
-                for rng in rngs]
+                for rng in spawn_rngs(self.seed_sequence(), self.n_trials)]
 
 
 def build_jobs(sweep_name: str, sweep_values: Sequence[object],

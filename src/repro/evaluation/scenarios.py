@@ -330,38 +330,6 @@ def _point_token(point: Callable) -> str:
 # The scenario protocol.
 # ---------------------------------------------------------------------------
 
-class batch_method:
-    """Declare a scenario's batched-trials fast path (docs/engine.md).
-
-    Decorator for a ``batch_point(self, series_value, sweep_value,
-    rngs) -> list[float]`` method.  The engine dispatches whole cells
-    through it (see :meth:`repro.evaluation.engine.TrialJob.execute`);
-    the contract is strict bit-identity with the scalar ``__call__``
-    loop, so the batched path carries no cache identity.
-
-    The decorator is what keeps that promise structural rather than
-    conventional: it wraps the function in a non-function descriptor,
-    and :func:`point_fingerprint`'s method walk hashes only plain
-    functions — so adding or editing a ``batch_method`` never retires
-    warm cells, changes job digests, or moves a ``run_id``.  (The
-    fingerprint machinery itself sits inside its own walk via
-    :meth:`Scenario.fingerprint`, so exclusion *must* happen at the
-    declaration site: a name-based skip inside the walk would move
-    every committed fingerprint.)  Instance lookup binds like an
-    ordinary method; class lookup returns the raw function.
-    """
-
-    def __init__(self, fn: Callable):
-        functools.update_wrapper(self, fn)
-        self._fn = fn
-
-    def __get__(self, obj: object, objtype: Optional[type] = None):
-        """Bind to ``obj`` like a plain method; unwrap on class access."""
-        if obj is None:
-            return self._fn
-        return types.MethodType(self._fn, obj)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Base class for picklable point functions.
@@ -393,29 +361,6 @@ class Scenario:
     ``repro.estimators.catoni`` changes.  The field is keyword-only (it
     never participates in subclasses' positional field order) and, like
     every field, is part of the fingerprint itself.
-
-    **Batched trials.**  A scenario may additionally implement
-
-    ``batch_point(series_value, sweep_value, rngs) -> list[float]``
-
-    to execute a whole grid cell in one call (``rngs`` is the cell's
-    list of per-trial Generators, in trial order).  When present,
-    :meth:`~repro.evaluation.engine.TrialJob.execute` dispatches the
-    cell through it on every executor.  The contract is strict
-    bit-identity with the scalar loop: trial ``k`` must consume
-    ``rngs[k]`` with exactly the draws, in exactly the order, of
-    ``self(series_value, sweep_value, rngs[k])``, and must return the
-    same float.  Because of that contract the batched path carries no
-    cache identity: declare it with the :class:`batch_method` decorator,
-    which keeps it out of the fingerprint's method walk, so opting a
-    scenario in (or editing its batched path) never invalidates warm
-    cells, changes job digests, or moves a ``run_id``.  Module-level
-    helpers referenced only from a ``batch_method`` body stay outside
-    the fingerprint for the same reason (the walk starts from hashed
-    methods).  The method is deliberately not defined on this base
-    class: the engine detects it with ``getattr``, so scenarios without
-    it keep the plain scalar loop.  See docs/engine.md ("Batched
-    trials") for the protocol and when to opt in.
     """
 
     #: Library modules whose executable surface is folded into the

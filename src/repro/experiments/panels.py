@@ -49,9 +49,8 @@ from repro import (
 )
 from repro.baselines import DPSGD, FrankWolfe, RegularDPFrankWolfe
 from repro.core import classic_fw_steps, dense_laplace_release, peeling
-from repro.core.batched import batch_fit_lasso
 from repro.estimators import CatoniEstimator, optimal_scale
-from repro.evaluation import Scenario, batch_method
+from repro.evaluation import Scenario
 from repro.geometry import project_l1_ball
 from repro.privacy import ExponentialMechanism
 
@@ -114,20 +113,6 @@ def _fit_l1_private(solver, data, eps, tau, delta, rng):
     return model.fit(data.features, data.labels, rng=rng).w
 
 
-def _batch_fit_l1_private(datas, eps, delta, rngs):
-    """Private Lasso fits of a cell's trials, as :func:`_fit_l1_private`.
-
-    Same solver construction, same per-trial Generator consumption, same
-    bits (see :mod:`repro.core.batched`): all trials run in one stacked
-    Gram-form Frank–Wolfe loop.  The DP-FW family has no batched form;
-    its panels loop over ``__call__``.
-    """
-    model = HeavyTailedPrivateLasso(L1Ball(datas[0].dimension), epsilon=eps,
-                                    delta=delta)
-    return batch_fit_lasso(model, [(data.features, data.labels)
-                                   for data in datas], rngs)
-
-
 # ---------------------------------------------------------------------------
 # Figures 1, 5, 6 — linear regression on the ℓ1 ball.
 # ---------------------------------------------------------------------------
@@ -166,18 +151,6 @@ class L1LinearPanel(Scenario):
         w = _fit_l1_private(self.solver, data, eps, self.tau, self.delta, rng)
         return _squared_excess(w, data)
 
-    @batch_method
-    def batch_point(self, d, x, rngs):
-        """Whole-cell fast path; bit-identical to per-trial ``__call__``."""
-        if self.solver != "lasso":
-            return [float(self(d, x, rng)) for rng in rngs]
-        n, eps = ((self.n_fixed, x) if self.sweep == "epsilon"
-                  else (x, self.eps_fixed))
-        datas = [_l1_linear_data(n, d, self.features, self.noise, rng)
-                 for rng in rngs]
-        ws = _batch_fit_l1_private(datas, eps, self.delta, rngs)
-        return [_squared_excess(w, data) for w, data in zip(ws, datas)]
-
 
 @dataclass(frozen=True)
 class L1PrivateVsNonprivatePanel(Scenario):
@@ -214,16 +187,6 @@ class L1PrivateVsNonprivatePanel(Scenario):
                            n_iterations=self.fw_iterations).fit(
                 data.features, data.labels)
         return _squared_excess(w, data)
-
-    @batch_method
-    def batch_point(self, kind, n, rngs):
-        """Whole-cell fast path; bit-identical to per-trial ``__call__``."""
-        if kind != "private(eps=1)" or self.solver != "lasso":
-            return [float(self(kind, n, rng)) for rng in rngs]
-        datas = [_l1_linear_data(n, self.d_fixed, self.features, self.noise,
-                                 rng) for rng in rngs]
-        ws = _batch_fit_l1_private(datas, 1.0, self.delta, rngs)
-        return [_squared_excess(w, data) for w, data in zip(ws, datas)]
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +533,6 @@ class TruncationThresholdAblation(Scenario):
             threshold=self.theory_threshold * multiplier)
         res = solver.fit(data.features, data.labels, rng=rng)
         return _squared_excess(res.w, data)
-
-    @batch_method
-    def batch_point(self, _, multiplier, rngs):
-        """Whole-cell fast path; bit-identical to per-trial ``__call__``."""
-        solver = HeavyTailedPrivateLasso(
-            L1Ball(self.d), epsilon=1.0, delta=self.delta,
-            threshold=self.theory_threshold * multiplier)
-        datas = [_l1_linear_data(self.n, self.d, self.features, self.noise,
-                                 rng) for rng in rngs]
-        ws = batch_fit_lasso(solver, [(data.features, data.labels)
-                                      for data in datas], rngs)
-        return [_squared_excess(w, data) for w, data in zip(ws, datas)]
 
 
 def _composed_catoni_dpfw(data, epsilon, d, delta, rng):

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .._validation import check_positive
 from ..rng import SeedLike, ensure_rng
@@ -124,8 +123,10 @@ class ExponentialMechanism:
 
     Two samplers are provided; they induce exactly the same distribution:
 
-    * ``method="softmax"`` — normalise with :func:`scipy.special.logsumexp`
-      and draw from the categorical distribution.
+    * ``method="softmax"`` — normalise the logits with the stable
+      log-sum-exp ``m + log(sum(exp(x - m)))`` and draw by inverting the
+      categorical CDF with one uniform, as ``Generator.choice(n, p=p)``
+      does internally (same draw, same Generator state afterwards).
     * ``method="gumbel"`` — add i.i.d. ``Gumbel(2Δ/eps)`` noise to the
       scores and take the argmax (the Gumbel-max trick), which is the
       numerically friendliest form for very large candidate sets.
@@ -149,8 +150,7 @@ class ExponentialMechanism:
     def probabilities(self, scores: np.ndarray) -> np.ndarray:
         """Exact selection probabilities for the given score vector."""
         scores = np.asarray(scores, dtype=float)
-        logits = (self.epsilon / (2.0 * self.sensitivity)) * scores
-        return np.exp(logits - logsumexp(logits))
+        return _softmax(scores * (self.epsilon / (2.0 * self.sensitivity)))
 
     def select(self, scores: np.ndarray, rng: SeedLike = None) -> int:
         """Sample a candidate index with exponential bias toward high scores."""
@@ -171,14 +171,20 @@ class ExponentialMechanism:
         if self.method == "gumbel":
             noisy = logits + rng.gumbel(loc=0.0, scale=1.0, size=scores.shape)
             return int(np.argmax(noisy))
-        probs = self.probabilities(scores)
         # Defensive renormalisation: with widely separated logits the
         # exponentiated probabilities can sum to slightly off 1.0 after
-        # floating-point rounding, and rng.choice raises on any such
-        # drift.  (Finite scores guarantee a strictly positive total:
-        # the largest logit always contributes exp(0) = 1.)
-        probs = probs / probs.sum()
-        return int(rng.choice(scores.size, p=probs))
+        # floating-point rounding.  (Finite logits guarantee a strictly
+        # positive total: the largest contributes exp(0) = 1.)
+        probs = _softmax(logits)
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """``exp(logits - logsumexp(logits))`` with the max-shifted log-sum-exp."""
+    m = logits.max()
+    return np.exp(logits - (m + np.log(np.sum(np.exp(logits - m)))))
 
 
 def report_noisy_max(scores: np.ndarray, epsilon: float, sensitivity: float,

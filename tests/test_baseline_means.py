@@ -76,3 +76,43 @@ class TestCoordinatewise:
     def test_rejects_vector(self):
         with pytest.raises(ValueError):
             coordinatewise(empirical_mean, np.ones(5))
+
+
+class TestColumnwiseFastPaths:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 11), (200, 5)])
+    def test_empirical_mean_bit_identical(self, shape):
+        x = np.random.default_rng(3).lognormal(size=shape)
+        loop = np.array([empirical_mean(x[:, j]) for j in range(x.shape[1])])
+        fast = coordinatewise(empirical_mean, x)
+        assert np.array_equal(loop, fast)
+        assert np.array_equal(np.signbit(loop), np.signbit(fast))
+
+    @pytest.mark.parametrize("frac", [0.0, 0.1, 0.25, 0.49])
+    def test_trimmed_mean_bit_identical(self, frac):
+        x = np.random.default_rng(4).standard_t(df=3, size=(57, 9))
+        loop = np.array([trimmed_mean(x[:, j], trim_fraction=frac)
+                         for j in range(x.shape[1])])
+        fast = coordinatewise(trimmed_mean, x, trim_fraction=frac)
+        assert np.array_equal(loop, fast)
+
+    def test_non_finite_falls_back_to_loop_errors(self):
+        x = np.ones((4, 2))
+        x[1, 1] = np.inf
+        from repro._validation import ConfigurationError
+        with pytest.raises(ConfigurationError):
+            coordinatewise(empirical_mean, x)
+
+    def test_bad_trim_fraction_error_unchanged(self):
+        x = np.ones((6, 2))
+        with pytest.raises(ValueError, match="trim_fraction must be < 0.5"):
+            coordinatewise(trimmed_mean, x, trim_fraction=0.5)
+
+    def test_empty_column_error_unchanged(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            coordinatewise(empirical_mean, np.empty((0, 3)))
+
+    def test_unregistered_estimator_uses_loop(self):
+        x = np.random.default_rng(5).lognormal(size=(32, 4))
+        loop = np.array([median_of_means(x[:, j], rng=0)
+                         for j in range(x.shape[1])])
+        assert np.array_equal(coordinatewise(median_of_means, x, rng=0), loop)

@@ -109,6 +109,13 @@ class TestRegularDPFW:
         assert result.advertised_budget.delta == 1e-5
         assert np.all(np.isfinite(result.w))
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0])
+    def test_delta_outside_unit_interval_rejected_at_construction(self, delta):
+        # log(1/delta) in the per-step budget is undefined or zero there.
+        with pytest.raises(ValueError, match="delta"):
+            RegularDPFrankWolfe(SquaredLoss(), L1Ball(5), epsilon=1.0,
+                                delta=delta)
+
     def test_clipping_bounds_influence(self, rng):
         """A gross outlier cannot move the clipped mean gradient much."""
         X = rng.normal(size=(500, 4))

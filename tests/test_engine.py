@@ -6,6 +6,7 @@ thread, and fleet executors are bit-identical, and the on-disk cache
 recomputes only the missing cells.
 """
 
+import math
 import os
 import pathlib
 import subprocess
@@ -361,3 +362,16 @@ class TestRunGrid:
                               seed=0)
         assert [job.digest for job in as_numpy] == [job.digest
                                                     for job in as_int]
+
+
+def test_execute_returns_python_floats():
+    """``TrialJob.execute`` coerces every trial value to a ``float``.
+
+    Points may return numpy scalars or ints; records and the cache
+    store plain floats.
+    """
+    job = build_jobs("n", [100], "d", [5], n_trials=3, seed=0)[0]
+    values = job.execute(lambda series, x, rng: np.float32(rng.normal()))
+    assert all(type(v) is float for v in values)
+    assert job.execute(lambda series, x, rng: 2) == [2.0, 2.0, 2.0]
+    assert math.isfinite(sum(values))

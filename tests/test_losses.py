@@ -199,3 +199,20 @@ class TestL2Regularized:
 
     def test_name_mentions_base(self):
         assert "squared" in L2Regularized(SquaredLoss(), 0.1).name
+
+
+class TestFiniteDifference:
+    def test_matches_per_coordinate_loop(self):
+        rng = np.random.default_rng(6)
+        X = rng.lognormal(size=(25, 4))
+        y = rng.normal(size=25)
+        w = rng.normal(size=4)
+        loss = SquaredLoss()
+        step = 1e-6
+        old = np.zeros(4)
+        for j in range(4):  # the per-coordinate loop
+            bump = np.zeros(4)
+            bump[j] = step
+            old[j] = (loss.value(w + bump, X, y) -
+                      loss.value(w - bump, X, y)) / (2 * step)
+        assert np.array_equal(finite_difference_gradient(loss, w, X, y), old)

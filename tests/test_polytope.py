@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry import L1Ball, Polytope, Simplex, hypercube
+from repro.geometry import Hypercube, L1Ball, Polytope, Simplex, hypercube
 
 
 class TestGenericPolytope:
@@ -144,3 +144,55 @@ class TestHypercube:
         g = rng.normal(size=4)
         _, v = cube.linear_minimizer(g)
         np.testing.assert_array_equal(v, -np.sign(g))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("radius", [1.0, 0.5, 2.7])
+    def test_corners_bit_identical_to_comprehension(self, d, radius):
+        old = np.array([[radius if (mask >> j) & 1 else -radius
+                         for j in range(d)] for mask in range(2 ** d)])
+        assert np.array_equal(hypercube(d, radius).vertices, old)
+
+    def test_vertex_scores_matrix_free(self):
+        cube = hypercube(7, 1.5)
+        g = np.random.default_rng(8).normal(size=7)
+        scores = cube.vertex_scores(g)
+        assert cube._corner_cache is None  # never materialized
+        dense = -cube.vertices @ g
+        assert np.allclose(scores, dense)
+        assert int(np.argmax(scores)) == int(np.argmax(dense))
+
+    def test_vertex_matrix_free(self):
+        cube = hypercube(6)
+        for index in (0, 1, 37, 63):
+            bits = [(index >> j) & 1 for j in range(6)]
+            expected = np.array([1.0 if b else -1.0 for b in bits])
+            assert np.array_equal(cube.vertex(index), expected)
+        assert cube._corner_cache is None
+
+    def test_vertex_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            hypercube(3).vertex(8)
+
+    def test_linear_minimizer_agrees_with_dense(self):
+        cube = hypercube(5, 0.8)
+        g = np.random.default_rng(9).normal(size=5)
+        index, vertex = cube.linear_minimizer(g)
+        dense = np.array([[0.8 if (m >> j) & 1 else -0.8 for j in range(5)]
+                          for m in range(32)])
+        assert index == int(np.argmin(dense @ g))
+        assert np.array_equal(vertex, dense[index])
+
+    def test_generic_operations_trigger_cache(self):
+        cube = hypercube(3)
+        assert cube.l1_diameter() == 6.0
+        assert cube._corner_cache is not None
+        assert cube.contains(np.zeros(3))
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match="d <= 16"):
+            Hypercube(17)
+
+    def test_is_a_polytope(self):
+        cube = hypercube(2)
+        assert cube.dimension == 2
+        assert cube.n_vertices == 4

@@ -106,6 +106,35 @@ class TestExponentialMechanism:
         for _ in range(50):
             assert mech.select(scores, rng=rng) == 2
 
+    @pytest.mark.parametrize("scores", [
+        np.array([0.0, 0.7, 1.5, -0.5]),
+        np.array([-1e12, 0.0, 1e12, 3.0, -7.5]),
+        np.linspace(-40.0, 40.0, 200),
+        np.array([2.5]),
+    ], ids=["small", "widely-separated", "many", "single"])
+    def test_softmax_select_draws_what_choice_draws(self, scores):
+        """The CDF-inversion sampler is ``Generator.choice(n, p=p)``.
+
+        Same index for every draw, and the same Generator state after
+        it: one uniform per draw, nothing else.
+        """
+        for sensitivity in (1e-9, 0.05, 1.0, 30.0):
+            mech = ExponentialMechanism(epsilon=2.0, sensitivity=sensitivity)
+            with np.errstate(over="ignore"):
+                logits = scores * (mech.epsilon / (2.0 * sensitivity))
+            if not np.all(np.isfinite(logits)):
+                continue
+            probs = mech.probabilities(scores)
+            probs = probs / probs.sum()
+            for seed in range(25):
+                ours = np.random.default_rng(seed)
+                theirs = np.random.default_rng(seed)
+                for _ in range(8):
+                    assert mech.select(scores, rng=ours) == int(
+                        theirs.choice(scores.size, p=probs))
+                assert (ours.bit_generator.state
+                        == theirs.bit_generator.state)
+
     @pytest.mark.parametrize("method", ["softmax", "gumbel"])
     def test_select_rejects_logit_overflow(self, method, rng):
         # Finite scores can still overflow once scaled by

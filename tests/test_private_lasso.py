@@ -13,6 +13,9 @@ from repro import (
     l1_ball_truth,
     make_linear_data,
 )
+from repro.core import classic_fw_steps
+from repro.estimators.truncation import shrink_dataset
+from repro.privacy import ExponentialMechanism
 
 
 def _data(rng, n=4000, d=8, sigma=0.6):
@@ -29,6 +32,13 @@ class TestConfiguration:
             HeavyTailedPrivateLasso(L1Ball(4), epsilon=0.0, delta=1e-5)
         with pytest.raises(ValueError):
             HeavyTailedPrivateLasso(L1Ball(4), epsilon=1.0, delta=0.0)
+
+    @pytest.mark.parametrize("delta", [1.0, 2.0, -1e-5, math.nan])
+    def test_delta_outside_unit_interval_rejected_at_construction(self, delta):
+        # log(1/delta) is undefined or zero there; the solver used to
+        # accept such a delta and crash inside fit.
+        with pytest.raises(ValueError, match="delta"):
+            HeavyTailedPrivateLasso(L1Ball(5), epsilon=1.0, delta=delta)
 
     def test_schedule(self):
         solver = HeavyTailedPrivateLasso(L1Ball(4), epsilon=1.0, delta=1e-5)
@@ -133,3 +143,46 @@ class TestOptimization:
                     < loss.value(np.zeros(8), data.features, data.labels)):
                 wins += 1
         assert wins >= 4
+
+
+def _residual_form_fit(solver, X, y, rng):
+    """Algorithm 2 with the gradient as two passes over the shrunken data.
+
+    ``g̃ = 2 X̃ᵀ(X̃ w − ỹ) / n`` per iteration: the form the solver's
+    Gram-form ``2 (G w − c) / n`` replaced.
+    """
+    n = X.shape[0]
+    schedule = solver.resolve_schedule(n)
+    T, K = schedule.n_iterations, schedule.threshold
+    X_shrunk, y_shrunk = shrink_dataset(X, y, K)
+    ball = solver.polytope
+    mechanism = ExponentialMechanism(
+        epsilon=solver.per_iteration_epsilon(T),
+        sensitivity=4.0 * ball.l1_diameter() * K**2 / n)
+    steps = classic_fw_steps(T)
+    w = ball.initial_point()
+    selected = []
+    for t in range(T):
+        g_tilde = 2.0 * (X_shrunk.T @ (X_shrunk @ w - y_shrunk)) / n
+        index = mechanism.select(ball.vertex_scores(g_tilde), rng=rng)
+        selected.append(index)
+        w = (1.0 - steps[t]) * w + steps[t] * ball.vertex(index)
+    return w, selected
+
+
+class TestGramForm:
+    @pytest.mark.parametrize("n,d", [(60, 3), (400, 8), (2500, 20),
+                                     (900, 40)])
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0])
+    def test_matches_residual_form_oracle(self, n, d, epsilon):
+        for seed in range(6):
+            data = _data(np.random.default_rng(seed), n=n, d=d, sigma=0.9)
+            solver = HeavyTailedPrivateLasso(L1Ball(d), epsilon=epsilon,
+                                             delta=1e-5)
+            result = solver.fit(data.features, data.labels,
+                                rng=np.random.default_rng(100 + seed))
+            w, selected = _residual_form_fit(
+                solver, data.features, data.labels,
+                np.random.default_rng(100 + seed))
+            assert result.metadata["selected_vertices"] == selected
+            np.testing.assert_array_equal(result.w, w)
