@@ -2,9 +2,11 @@
 
 Each ``test_figXX_*`` benchmark regenerates one figure of the paper at a
 laptop-scale size: it sweeps the figure's x-axis, prints the same
-(x, series) rows the paper plots, appends the table to
-``benchmarks/results/`` and asserts the robust qualitative shapes
-(finiteness; the headline monotonicity with generous slack).
+(x, series) rows the paper plots and asserts the robust qualitative
+shapes (finiteness; the headline monotonicity with generous slack).
+Benches write nothing: ``benchmarks/results/`` is the committed record
+store, and ``python -m repro run <name>`` is the one command that
+re-pins it.
 
 The paper's sizes (n up to 9e4 per point, 20 trials) would take hours;
 ``REPRO_BENCH_FULL=1`` switches to paper scale.  What each bench *is* —
@@ -25,7 +27,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.evaluation import EXECUTORS
-from repro.results import ResultsStore
 from repro.service import ServiceCore
 
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
@@ -60,53 +61,32 @@ if CACHE_DIR is not None:
             f"REPRO_BENCH_CACHE directory {CACHE_DIR!r} is not writable "
             f"({exc}); fix or unset the variable") from exc
 
-RESULTS_DIR = Path(__file__).parent / "results"
-
-
 #: The one service core every bench in a pytest session runs through:
 #: shared cell cache, shared single-flight map — exactly the tier the
 #: CLI and ``python -m repro serve`` sit on, which is what makes bench,
 #: CLI, and served runs bit-identical (equal ``run_id``).
-CORE = ServiceCore(results_dir=RESULTS_DIR, cache=CACHE_DIR)
+CORE = ServiceCore(cache=CACHE_DIR)
 
 
 def run_catalog_bench(name: str) -> List[Dict[object, List[float]]]:
-    """Run every panel of the named catalog bench; emit tables + record.
+    """Run every panel of the named catalog bench; print its tables.
 
     The single bench entry point: grids, seeds, trial counts and titles
     come from the catalog, and execution goes through the same
     :meth:`~repro.service.ServiceCore.run_bench` the CLI and the HTTP
-    server use (with the bench env knobs applied), so each panel's
-    table is printed and persisted exactly as ``python -m repro run
-    <name>`` writes it.  A provenance-stamped run record
-    (``repro.results``) lands next to the text table —
-    ``results/<stem>.json`` — identical to the CLI's, so ``python -m
-    repro diff`` can compare bench and CLI runs freely.  Returns the
-    panels' ``series -> mean curve`` mappings, in catalog order, for
-    the caller's shape assertions.
+    server use (with the bench env knobs applied), so each printed
+    table is byte-identical to the one ``python -m repro run <name>``
+    writes.  Nothing is persisted: the committed ``.txt`` tables and
+    ``.json`` records under ``benchmarks/results/`` are what the checks
+    in ``tests/`` compare against, so a bench run must never rewrite
+    them — not at paper scale (``REPRO_BENCH_FULL=1``), not under
+    another executor.  Returns the panels' ``series -> mean curve``
+    mappings, in catalog order, for the caller's shape assertions.
     """
     run = CORE.run_bench(name, full=FULL, executor=EXECUTOR)
     for block in run.blocks:
-        _emit_block(run.definition.result_stem, block)
-    ResultsStore(RESULTS_DIR).save(run.record)
+        print(block)
     return list(run.panels)
-
-
-#: Result files already written this run — the first panel of a bench
-#: truncates its file so a rerun never leaves stale (and possibly
-#: irreproducible) tables from earlier code stacked above fresh ones;
-#: later panels of the same bench append.
-_WRITTEN: set = set()
-
-
-def _emit_block(name: str, text: str) -> None:
-    """Print a formatted table block and persist it under results/."""
-    print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    mode = "a" if name in _WRITTEN else "w"
-    _WRITTEN.add(name)
-    with open(RESULTS_DIR / f"{name}.txt", mode) as fh:
-        fh.write(text)
 
 
 def assert_finite(series: Dict[object, List[float]]) -> None:

@@ -32,12 +32,17 @@ def check_non_negative(value: float, name: str) -> float:
 
 def check_probability(value: float, name: str, *, allow_zero: bool = True,
                       allow_one: bool = True) -> float:
-    """Validate that ``value`` lies in [0, 1] (bounds optionally open)."""
+    """Validate that ``value`` lies in [0, 1] (bounds optionally open).
+
+    The error names the interval actually enforced, e.g. ``(0, 1)`` for
+    a δ that enters ``log(1/δ)``.
+    """
     value = float(value)
     low_ok = value > 0 or (allow_zero and value == 0)
     high_ok = value < 1 or (allow_one and value == 1)
     if not np.isfinite(value) or not (low_ok and high_ok):
-        raise ConfigurationError(f"{name} must be a probability in [0, 1], got {value!r}")
+        interval = f"{'[' if allow_zero else '('}0, 1{']' if allow_one else ')'}"
+        raise ConfigurationError(f"{name} must be a probability in {interval}, got {value!r}")
     return value
 
 

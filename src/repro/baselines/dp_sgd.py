@@ -16,7 +16,13 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .._validation import check_dataset, check_positive, check_positive_int, check_vector
+from .._validation import (
+    check_dataset,
+    check_positive,
+    check_positive_int,
+    check_probability,
+    check_vector,
+)
 from ..core.result import FitResult
 from ..estimators.truncation import clip_l2
 from ..losses.base import Loss
@@ -53,7 +59,7 @@ class DPSGD:
 
     def __post_init__(self) -> None:
         check_positive(self.epsilon, "epsilon")
-        check_positive(self.delta, "delta")
+        check_probability(self.delta, "delta", allow_zero=False, allow_one=False)
         check_positive(self.clip_norm, "clip_norm")
         check_positive(self.learning_rate, "learning_rate")
         check_positive_int(self.n_iterations, "n_iterations")

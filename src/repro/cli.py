@@ -7,7 +7,8 @@ Subcommands
     Run a catalog bench by name (``python -m repro run
     fig05_lasso_lognormal`` reproduces the committed
     ``benchmarks/results`` table bit-identically, and writes the
-    provenance-stamped ``fig05.json`` run record next to it) or a
+    provenance-stamped ``fig05.json`` run record next to it — the one
+    deliberate way to re-pin the committed record store) or a
     declarative TOML :class:`~repro.evaluation.spec.ExperimentSpec` by
     path (``--record PATH`` captures its record too).
     ``--executor``/``--cache``/``--trials`` control execution exactly
@@ -20,8 +21,9 @@ Subcommands
     error (unreadable/corrupt record, or an invalid diff invocation
     such as naming zero or two comparison targets).
     ``--against-catalog`` resolves the second record from the
-    committed baselines directory
-    (``benchmarks/baselines/<name>.json`` by default).
+    committed record store (``benchmarks/results/<stem>.json`` by
+    default); an unknown catalog name prints the catalog menu and
+    exits 3.
 
 ``results list`` / ``results show``
     Inspect a run-record store directory: every record's name, id and
@@ -58,10 +60,14 @@ Subcommands
     Inspect or garbage-collect a cell cache directory: ``prune``
     deletes every cell whose digest no current catalog grid claims
     (at laptop or paper scale, default trial counts) *and* no committed
-    baseline record references — a cell a baseline pins stays put even
-    after the code that produced it changes.  Spec-file cells are
-    neither catalog-claimed nor (normally) baseline-pinned — prune
-    treats them as orphans.
+    run record references — a cell a record pins stays put even after
+    the code that produced it changes.  Spec-file cells are neither
+    catalog-claimed nor (normally) record-pinned — prune treats them as
+    orphans.
+
+Every command that reads committed records names the one record store
+with ``--results-dir`` (default: ``benchmarks/results`` when run from
+the repo root).
 
 Exit status is 0 on success, 2 for usage errors (argparse), and 1 for
 resolution failures (unknown names print the registered menu); ``diff``
@@ -144,11 +150,11 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("run_b", nargs="?", default=None,
                       help="path to the second run record")
     diff.add_argument("--against-catalog", default=None, metavar="NAME",
-                      help="compare run-a against the committed baseline "
-                           "record of this catalog bench instead of run-b")
-    diff.add_argument("--baselines", default=None, metavar="DIR",
-                      help="committed baseline records directory (default: "
-                           "benchmarks/baselines)")
+                      help="compare run-a against the committed record of "
+                           "this catalog bench instead of run-b")
+    diff.add_argument("--results-dir", default=None, metavar="DIR",
+                      help="committed record store --against-catalog reads "
+                           "(default: benchmarks/results when it exists)")
     diff.add_argument("--json", action="store_true",
                       help="emit the full diff as JSON instead of the "
                            "human-readable summary")
@@ -184,9 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--results-dir", default=None, metavar="DIR",
                        help="run-record store served at /records "
                             "(default: benchmarks/results when it exists)")
-    serve.add_argument("--baselines", default=None, metavar="DIR",
-                       help="committed baseline records directory (default: "
-                            "benchmarks/baselines when it exists)")
     serve.add_argument("--cache", metavar="DIR",
                        default=os.environ.get("REPRO_BENCH_CACHE") or None,
                        help="cell cache backing /cells and POST /run "
@@ -210,16 +213,16 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     for name, help_text in (("stats", "count cached cells and orphans"),
                             ("prune", "delete cells no catalog grid claims "
-                                      "and no baseline record references")):
+                                      "and no committed record references")):
         sub_parser = cache_sub.add_parser(name, help=help_text)
         sub_parser.add_argument(
             "--cache", metavar="DIR",
             default=os.environ.get("REPRO_BENCH_CACHE") or None,
             help="cell cache directory (default: $REPRO_BENCH_CACHE)")
         sub_parser.add_argument(
-            "--baselines", metavar="DIR", default=None,
-            help="committed baseline records whose cells are kept "
-                 "(default: benchmarks/baselines when it exists)")
+            "--results-dir", metavar="DIR", default=None,
+            help="committed record store whose cells are kept "
+                 "(default: benchmarks/results when it exists)")
     cache_sub.choices["prune"].add_argument(
         "--dry-run", action="store_true",
         help="report what would be deleted without deleting")
@@ -275,10 +278,10 @@ def _default_results_dir() -> Optional[Path]:
     return candidate / "results" if candidate.is_dir() else None
 
 
-def _default_baselines_dir() -> Optional[Path]:
-    """``benchmarks/baselines`` when run from the repo root, else nothing."""
-    candidate = Path("benchmarks") / "baselines"
-    return candidate if candidate.is_dir() else None
+def _results_dir(args: argparse.Namespace) -> Optional[Path]:
+    """The record store one invocation names: ``--results-dir`` or default."""
+    return (Path(args.results_dir) if args.results_dir
+            else _default_results_dir())
 
 
 def _save_record(record, *, results_dir: Optional[Path],
@@ -305,8 +308,7 @@ def _run_bench(args: argparse.Namespace) -> int:
     benches and ``POST /run`` use); this function only owns the CLI's
     write policy and output.
     """
-    results_dir = (Path(args.results_dir) if args.results_dir
-                   else _default_results_dir())
+    results_dir = _results_dir(args)
     write = args.trials is None and results_dir is not None
     if args.trials is not None and args.results_dir:
         print("[run] --trials overrides the bench statistics; not writing "
@@ -395,22 +397,16 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         print("error: pass exactly one of <run-b> or --against-catalog NAME",
               file=sys.stderr)
         return 3
-    if args.against_catalog is not None:
-        baselines = (Path(args.baselines) if args.baselines
-                     else _default_baselines_dir())
-        if baselines is None:
-            print("error: no baselines directory (pass --baselines DIR or "
-                  "run from the repo root)", file=sys.stderr)
-            return 3
-        path_b = baselines / f"{args.against_catalog}.json"
-        label_b = f"baseline {path_b}"
-    else:
-        path_b = Path(args.run_b)
-        label_b = str(path_b)
     try:
         record_a = load_record(args.run_a)
-        record_b = load_record(path_b)
-    except ResultsError as exc:
+        if args.against_catalog is None:
+            label_b, record_b = args.run_b, load_record(args.run_b)
+        else:
+            definition = bench(args.against_catalog)
+            core = ServiceCore(results_dir=_results_dir(args))
+            record_b = core.load_record(definition.result_stem)
+            label_b = f"baseline {core.store().path_for(record_b.result_stem)}"
+    except (ResultsError, UnknownNameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     diff = diff_records(record_a, record_b, a_label=str(args.run_a),
@@ -490,49 +486,41 @@ def _cache_dir(args: argparse.Namespace) -> Optional[Path]:
     return path
 
 
-def _resolve_baselines(args: argparse.Namespace):
-    """The baselines directory to honour: ``(path_or_None, ok)``.
+def _record_store(args: argparse.Namespace):
+    """The record store whose cells cache maintenance keeps: ``(dir, ok)``.
 
-    An explicitly passed ``--baselines`` that does not exist is an
+    An explicitly passed ``--results-dir`` that does not exist is an
     error (the caller asked for pins that cannot be read); an absent
-    default is merely "no baselines here" and returns ``(None, True)``.
+    default is merely "no records here" and returns ``(None, True)``.
     """
-    if args.baselines:
-        path = Path(args.baselines)
-        if not path.is_dir():
-            print(f"error: baselines directory {path} does not exist",
-                  file=sys.stderr)
-            return None, False
+    path = _results_dir(args)
+    if path is not None and path.is_dir():
         return path, True
-    return _default_baselines_dir(), True
+    if args.results_dir:
+        print(f"error: results directory {path} does not exist",
+              file=sys.stderr)
+        return None, False
+    return None, True
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
     path = _cache_dir(args)
     if path is None:
         return 1
-    baselines, ok = _resolve_baselines(args)
+    store, ok = _record_store(args)
     if not ok:
         return 1
-    core = ServiceCore(baselines_dir=baselines)
-    # Load each baseline record once: it feeds both the keep-set below
-    # and the store-size report.
-    baseline_runs = (ResultsStore(baselines).runs()
-                     if baselines is not None else [])
-    baseline_records = [load_record(p) for p in baseline_runs]
-    keep = set().union(*(r.cell_digests() for r in baseline_records)) \
-        if baseline_records else set()
-    split = core.scan_cache(path, keep)
+    core = ServiceCore()
+    # Load each record once: it feeds both the keep-set below and the
+    # store-size report.
+    runs = ResultsStore(store).runs() if store is not None else []
+    records = [load_record(p) for p in runs]
+    split = core.scan_cache(
+        path, set().union(*(r.cell_digests() for r in records)))
     record_entries = []
-    if baselines is not None:
-        cells = sum(r.n_cells() for r in baseline_records)
-        record_entries.append(record_store_entry(baselines, baseline_runs,
-                                                 cells=cells))
-    results_dir = _default_results_dir()
-    if results_dir is not None and results_dir.is_dir():
-        runs = ResultsStore(results_dir).runs()
-        if runs:
-            record_entries.append(record_store_entry(results_dir, runs))
+    if store is not None:
+        record_entries.append(record_store_entry(
+            store, runs, cells=sum(r.n_cells() for r in records)))
     if args.json:
         print(json.dumps(cache_stats_payload(path, split, record_entries,
                                              fleet=core.fleet_stats),
@@ -545,9 +533,8 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
           f"baseline={len(split['baseline'])} "
           f"orphaned={len(split['orphaned'])}")
     for entry in record_entries:
-        cells_part = (f"cells={entry['cells']} " if "cells" in entry else "")
         print(f"[records] dir={entry['dir']} runs={entry['runs']} "
-              f"{cells_part}bytes={entry['bytes']}")
+              f"cells={entry['cells']} bytes={entry['bytes']}")
     return 0
 
 
@@ -555,22 +542,21 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
     path = _cache_dir(args)
     if path is None:
         return 1
-    baselines, ok = _resolve_baselines(args)
+    store, ok = _record_store(args)
     if not ok:
         return 1
-    if baselines is None:
+    if store is None:
         # Pruning without a keep-set would delete exactly the cells the
-        # committed baselines promise to pin — say so out loud instead
-        # of silently downgrading (e.g. when run outside the repo root).
-        print("[prune] warning: no baselines directory found (pass "
-              "--baselines DIR or run from the repo root); "
-              "baseline-pinned cells are NOT protected in this run",
+        # committed records promise to pin — say so out loud instead of
+        # silently downgrading (e.g. when run outside the repo root).
+        print("[prune] warning: no results directory found (pass "
+              "--results-dir DIR or run from the repo root); "
+              "record-pinned cells are NOT protected in this run",
               file=sys.stderr)
         keep = set()
     else:
-        keep = baseline_digests(baselines)
-    core = ServiceCore(baselines_dir=baselines)
-    split = core.prune_cache(path, keep, dry_run=args.dry_run)
+        keep = baseline_digests(store)
+    split = ServiceCore().prune_cache(path, keep, dry_run=args.dry_run)
     verb = "would delete" if args.dry_run else "deleted"
     kept = len(split["claimed"]) + len(split["baseline"])
     print(f"[prune] dir={path} kept={kept} {verb}={len(split['orphaned'])} "
@@ -588,11 +574,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported lazily: the asyncio server machinery is dead weight for
     # every other subcommand.
     from .server import serve as serve_forever
-    results_dir = (Path(args.results_dir) if args.results_dir
-                   else _default_results_dir())
-    baselines = (Path(args.baselines) if args.baselines
-                 else _default_baselines_dir())
-    core = ServiceCore(results_dir=results_dir, baselines_dir=baselines,
+    core = ServiceCore(results_dir=_results_dir(args),
                        cache=args.cache or None, fleet=_fleet_options(args))
     return serve_forever(core, host=args.host, port=args.port)
 

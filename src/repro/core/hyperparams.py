@@ -96,7 +96,7 @@ def lasso_schedule(n_samples: int, epsilon: float, delta: float,
     """
     check_positive_int(n_samples, "n_samples")
     check_positive(epsilon, "epsilon")
-    check_positive(delta, "delta")
+    check_probability(delta, "delta", allow_zero=False, allow_one=False)
     check_positive_int(dimension, "dimension")
     zeta = check_probability(failure_probability, "failure_probability",
                              allow_zero=False, allow_one=False)

@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .._validation import check_positive, check_positive_int, check_vector
+from .._validation import check_positive, check_positive_int, check_probability, check_vector
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.budget import PrivacyBudget
 from ..rng import SeedLike, ensure_rng
@@ -52,7 +52,7 @@ def peeling_laplace_scale(sparsity: int, epsilon: float, delta: float,
     """The Laplace scale of Algorithm 4: ``2 * lambda * sqrt(3 s log(1/delta)) / eps``."""
     check_positive_int(sparsity, "sparsity")
     check_positive(epsilon, "epsilon")
-    check_positive(delta, "delta")
+    check_probability(delta, "delta", allow_zero=False, allow_one=False)
     check_positive(noise_scale, "noise_scale")
     return 2.0 * noise_scale * math.sqrt(3.0 * sparsity * math.log(1.0 / delta)) / epsilon
 

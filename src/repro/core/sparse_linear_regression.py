@@ -33,6 +33,7 @@ from .._validation import (
     check_dataset,
     check_positive,
     check_positive_int,
+    check_probability,
     check_vector,
 )
 from ..estimators.truncation import shrink_dataset
@@ -96,7 +97,7 @@ class HeavyTailedSparseLinearRegression:
     def __post_init__(self) -> None:
         check_positive_int(self.sparsity, "sparsity")
         check_positive(self.epsilon, "epsilon")
-        check_positive(self.delta, "delta")
+        check_probability(self.delta, "delta", allow_zero=False, allow_one=False)
         check_positive(self.project_radius, "project_radius")
         self._loss = SquaredLoss()
 

@@ -32,6 +32,7 @@ from .._validation import (
     check_dataset,
     check_positive,
     check_positive_int,
+    check_probability,
     check_vector,
 )
 from ..estimators.catoni import CatoniEstimator
@@ -98,7 +99,7 @@ class HeavyTailedSparseOptimizer:
     def __post_init__(self) -> None:
         check_positive_int(self.sparsity, "sparsity")
         check_positive(self.epsilon, "epsilon")
-        check_positive(self.delta, "delta")
+        check_probability(self.delta, "delta", allow_zero=False, allow_one=False)
         check_positive(self.step_size, "step_size")
 
     def resolve_schedule(self, n_samples: int,

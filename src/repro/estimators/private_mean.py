@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .._validation import check_matrix, check_positive, check_positive_int
+from .._validation import check_matrix, check_positive, check_positive_int, check_probability
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.budget import PrivacyBudget
 from ..privacy.mechanisms import LaplaceMechanism
@@ -104,7 +104,7 @@ class PrivateSparseMeanEstimator:
     def __post_init__(self) -> None:
         check_positive_int(self.sparsity, "sparsity")
         check_positive(self.epsilon, "epsilon")
-        check_positive(self.delta, "delta")
+        check_probability(self.delta, "delta", allow_zero=False, allow_one=False)
 
     def estimate(self, samples: np.ndarray, rng: SeedLike = None,
                  accountant: Optional[PrivacyAccountant] = None) -> np.ndarray:

@@ -6,18 +6,18 @@ threads standing in for workers:
 * a broker subprocess (``python -m repro broker --port 0``);
 * two worker subprocesses (``python -m repro fleet-worker``), the first
   scheduled to die mid-lease (``os._exit``) on the first attempt of the
-  first baseline cell, the survivor scheduled to drop one completion —
-  both faults forced at exact ``DIGEST:ATTEMPT`` coordinates read from
-  the committed baseline record;
+  first cell, the survivor scheduled to drop one completion — both
+  faults forced at exact ``DIGEST:ATTEMPT`` coordinates read from the
+  committed record in ``benchmarks/results``;
 * a coordinator subprocess (``python -m repro run --executor fleet
-  --broker``) that must reproduce the committed baseline's ``run_id``
+  --broker``) that must reproduce the committed record's ``run_id``
   bit-for-bit despite the chaos, with ``repro diff --against-catalog``
   exiting 0 as the verdict.
 
 Two further scenarios pin the worker-cache eviction policy under real
 processes: an unpinned LRU cache bounded at ``--cache-max-cells 3``
 ends the run holding at most three cells, while the same bound with
-``--baselines`` pinning keeps every baseline cell on disk.
+``--results-dir`` pinning keeps every committed record's cell on disk.
 
 The broker-crash scenario is the recovery gate: a *journalled* broker
 (``--journal``) is SIGKILLed mid-run — queue populated, leases live,
@@ -45,11 +45,11 @@ from typing import Dict, List, Optional, Sequence
 
 from .worker import KILL_EXIT_STATUS
 
-#: The bench every scenario runs: the cheapest baselined catalog entry
-#: (one panel, five cells at laptop scale, committed run_id).
+#: The bench every scenario runs: the cheapest catalog entry (one
+#: panel, five cells at laptop scale, committed run_id).
 _BENCH = "ablation_truncation_threshold"
-_BASELINE = Path("benchmarks/baselines") / f"{_BENCH}.json"
 _STEM = "ablation_threshold"
+_RECORD = Path("benchmarks/results") / f"{_STEM}.json"
 
 
 def _spawn(args: Sequence[str], **kwargs) -> subprocess.Popen:
@@ -202,18 +202,18 @@ def _scenario_eviction(address: str, scratch: Path,
 
 
 def _scenario_pins(address: str, scratch: Path, digests: List[str]) -> None:
-    """Baseline pins exempt every baseline cell from the same bound."""
+    """Record pins exempt every committed record's cell from the bound."""
     cache_dir = scratch / "pinned-cells"
     worker = _spawn(["fleet-worker", "--broker", address, "--poll", "0.05",
                      "--cache", str(cache_dir), "--cache-max-cells", "3",
-                     "--baselines", str(_BASELINE.parent)])
+                     "--results-dir", str(_RECORD.parent)])
     try:
         _run_coordinator(address, scratch / "pinned-results")
     finally:
         _reap([worker])
     kept = _cells_on_disk(cache_dir)
     assert set(digests) <= set(kept), (kept, digests)
-    print(f"[fleet-net] baseline pins survived the bound: "
+    print(f"[fleet-net] record pins survived the bound: "
           f"{len(digests)} pinned cells kept")
 
 
@@ -283,18 +283,18 @@ def _scenario_broker_crash(scratch: Path, digests: List[str],
 
 def main() -> int:
     """Run every networked-fleet scenario against one broker subprocess."""
-    baseline = json.loads(_BASELINE.read_text())
-    digests = [cell["digest"] for cell in baseline["panels"][0]["cells"]]
+    committed = json.loads(_RECORD.read_text())
+    digests = [cell["digest"] for cell in committed["panels"][0]["cells"]]
     broker = _spawn(["broker", "--port", "0", "--lease-timeout", "3"])
     try:
         address = _await_broker(broker)
         print(f"[fleet-net] broker subprocess on {address}")
         with tempfile.TemporaryDirectory() as tmp:
             scratch = Path(tmp)
-            _scenario_chaos(address, scratch, digests, baseline["run_id"])
+            _scenario_chaos(address, scratch, digests, committed["run_id"])
             _scenario_eviction(address, scratch, digests)
             _scenario_pins(address, scratch, digests)
-            _scenario_broker_crash(scratch, digests, baseline["run_id"])
+            _scenario_broker_crash(scratch, digests, committed["run_id"])
     finally:
         broker.terminate()
         assert broker.wait(timeout=10.0) == 0, \

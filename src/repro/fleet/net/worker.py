@@ -15,7 +15,8 @@ to a serial run of the same grid.
 Workers may hold a local :class:`~repro.evaluation.ResultCache`: a
 leased cell already present locally completes instantly, and a bounded
 :class:`~repro.evaluation.EvictionPolicy` keeps long-lived workers from
-growing without bound while baseline-pinned digests stay put.
+growing without bound while the digests of the committed run records
+(``--results-dir``) stay pinned.
 
 The same loop runs as a process (``repro fleet-worker``) and on the
 threads of an in-process ``--executor fleet`` run, which starts a
@@ -244,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="broker address (default: $REPRO_FLEET_BROKER)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="local cell cache directory")
-    parser.add_argument("--baselines", metavar="DIR", default=None,
-                        help="committed baseline records whose cell digests "
+    parser.add_argument("--results-dir", metavar="DIR", default=None,
+                        help="committed record store whose cell digests "
                              "are pinned against cache eviction")
     parser.add_argument("--cache-max-cells", type=int, default=None,
                         metavar="N", help="evict the local cache down to N "
@@ -306,9 +307,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.cache:
         from ...evaluation import EvictionPolicy, ResultCache
         pinned = set()
-        if args.baselines:
+        if args.results_dir:
             from ...results import baseline_digests
-            pinned = baseline_digests(args.baselines)
+            if not os.path.isdir(args.results_dir):
+                # Pinning nothing would let eviction take exactly the
+                # cells the named records promise to keep.
+                print(f"error: results directory {args.results_dir} does "
+                      f"not exist", file=sys.stderr)
+                return 2
+            pinned = baseline_digests(args.results_dir)
         eviction = None
         if (args.cache_max_cells is not None
                 or args.cache_max_bytes is not None

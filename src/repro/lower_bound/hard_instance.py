@@ -77,7 +77,7 @@ def paper_mixing_weight(n_samples: int, epsilon: float, delta: float,
     """
     check_positive_int(n_samples, "n_samples")
     check_positive(epsilon, "epsilon")
-    check_positive(delta, "delta")
+    check_probability(delta, "delta", allow_zero=False, allow_one=False)
     check_positive_int(dimension, "dimension")
     check_positive_int(sparsity, "sparsity")
     if sparsity >= dimension:
@@ -135,6 +135,6 @@ def lower_bound_rate(n_samples: int, epsilon: float, delta: float,
     """
     check_positive(tau, "tau")
     check_positive(epsilon, "epsilon")
-    check_positive(delta, "delta")
+    check_probability(delta, "delta", allow_zero=False, allow_one=False)
     numerator = tau * min(sparsity * math.log(dimension), math.log(1.0 / delta))
     return numerator / (n_samples * epsilon)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .._validation import check_non_negative, check_positive
+from .._validation import check_non_negative, check_positive, check_probability
 
 
 @dataclass(frozen=True, order=False)
@@ -116,11 +116,11 @@ def advanced_composition_total(step: PrivacyBudget, n_steps: int,
               + T \\epsilon' (e^{\\epsilon'} - 1),\\;
               T\\delta' + \\tilde\\delta\\right)\\text{-DP}
 
-    for any slack ``delta_slack > 0``.
+    for any slack ``delta_slack`` in ``(0, 1)``.
     """
     if n_steps < 1 or int(n_steps) != n_steps:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
-    check_positive(delta_slack, "delta_slack")
+    check_probability(delta_slack, "delta_slack", allow_zero=False, allow_one=False)
     T = int(n_steps)
     eps = step.epsilon * math.sqrt(2.0 * T * math.log(1.0 / delta_slack))
     eps += T * step.epsilon * (math.exp(step.epsilon) - 1.0)

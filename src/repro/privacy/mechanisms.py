@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .._validation import check_positive
+from .._validation import check_positive, check_probability
 from ..rng import SeedLike, ensure_rng
 from .budget import PrivacyBudget
 
@@ -84,10 +84,8 @@ class GaussianMechanism:
 
     def __post_init__(self) -> None:
         check_positive(self.epsilon, "epsilon")
-        check_positive(self.delta, "delta")
+        check_probability(self.delta, "delta", allow_zero=False, allow_one=False)
         check_positive(self.sensitivity, "sensitivity")
-        if self.delta >= 1:
-            raise ValueError(f"delta must be < 1, got {self.delta}")
         if self.epsilon > 1:
             warnings.warn(
                 f"GaussianMechanism calibration is only proven for "

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
-from .._validation import check_positive
+from .._validation import check_positive, check_probability
 from .budget import PrivacyBudget
 
 #: Default grid of Rényi orders, matching common DP-SGD libraries.
@@ -52,9 +52,7 @@ def rdp_to_dp(rdp_values: Iterable[Tuple[float, float]],
     delta:
         Target failure probability.
     """
-    check_positive(delta, "delta")
-    if delta >= 1:
-        raise ValueError(f"delta must be < 1, got {delta}")
+    check_probability(delta, "delta", allow_zero=False, allow_one=False)
     candidates = [rho + math.log(1.0 / delta) / (alpha - 1.0)
                   for alpha, rho in rdp_values]
     if not candidates:

@@ -4,8 +4,8 @@
   (:class:`RunRecord` / :class:`PanelRecord` / :class:`CellRecord`) and
   the :class:`RunRecorder` the engine wiring feeds.
 * :mod:`repro.results.store` — atomic on-disk persistence
-  (:class:`ResultsStore`, :func:`load_record`) and the committed-
-  baseline keep-set (:func:`baseline_digests`).
+  (:class:`ResultsStore`, :func:`load_record`) and the keep-set of
+  cells the committed records reference (:func:`baseline_digests`).
 * :mod:`repro.results.diff` — mechanical run comparison
   (:func:`diff_records`) separating value drift (exit 1) from
   provenance drift (exit 2).

@@ -7,11 +7,13 @@ file + rename, like the engine's cell cache) and byte-deterministic:
 the same run always produces the same file, so records can be committed
 and re-generated without churn.
 
-Committed *baseline* records live in a separate directory
-(``benchmarks/baselines/``, named by catalog entry) that runs never
-write to; ``python -m repro diff <run> --against-catalog <name>`` reads
-them, and :func:`baseline_digests` feeds ``cache prune``'s keep-set so
-a cell referenced by a committed baseline is never garbage-collected.
+``benchmarks/results/`` is the one committed record store: the test
+suite and the benches only read it, and ``python -m repro run <name>``
+is the one command that rewrites it.  ``python -m repro diff <run>
+--against-catalog <name>`` compares a fresh run against the record
+stored there, and :func:`baseline_digests` feeds ``cache prune``'s
+keep-set (and a fleet worker's eviction pins) so a cell referenced by a
+committed record is never garbage-collected.
 """
 
 from __future__ import annotations
@@ -143,10 +145,10 @@ class ResultsStore:
 def baseline_digests(directory: Union[str, Path]) -> set:
     """Every cell digest referenced by any record under ``directory``.
 
-    This is ``cache prune``'s baseline keep-set.  A record that fails
-    to load raises rather than being skipped: silently ignoring a
-    corrupt baseline would let prune delete exactly the cells the
-    baseline was protecting.
+    This is ``cache prune``'s keep-set over the committed record store.
+    A record that fails to load raises rather than being skipped:
+    silently ignoring a corrupt record would let prune delete exactly
+    the cells the record was protecting.
     """
     digests: set = set()
     store = ResultsStore(directory)

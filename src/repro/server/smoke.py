@@ -1,16 +1,15 @@
 """End-to-end smoke harness: ``PYTHONPATH=src python -m repro.server.smoke``.
 
 Boots a real :class:`~repro.server.ReproServer` on an ephemeral port
-against the committed ``benchmarks/results`` + ``benchmarks/baselines``
-stores and a throwaway cell cache, then drives every endpoint over
-actual HTTP:
+against the committed ``benchmarks/results`` record store and a
+throwaway cell cache, then drives every endpoint over actual HTTP:
 
 * ``GET /catalog`` lists every catalog bench;
 * ``GET /records/fig05`` is byte-identical to the committed
   ``benchmarks/results/fig05.json`` and a conditional re-request with
   its ETag returns ``304 Not Modified`` with an empty body;
 * eight simultaneous cold ``POST /run`` s of one bench all succeed with
-  the committed baseline's ``run_id``, while ``GET /stats`` proves the
+  the committed record's ``run_id``, while ``GET /stats`` proves the
   single-flight guarantee: the flights-led counter equals the bench's
   cell count — one engine computation per digest, however many clients
   asked;
@@ -82,11 +81,9 @@ def _start_server(core: ServiceCore) -> ReproServer:
 def main() -> int:
     """Drive every endpoint against the committed stores; 0 on success."""
     results = Path("benchmarks/results")
-    baselines = Path("benchmarks/baselines")
     assert results.is_dir(), "run from the repo root (benchmarks/results)"
     with tempfile.TemporaryDirectory(prefix="repro-smoke-cache-") as cache:
-        core = ServiceCore(results_dir=results, baselines_dir=baselines,
-                           cache=cache)
+        core = ServiceCore(results_dir=results, cache=cache)
         server = _start_server(core)
         base = f"http://{server.host}:{server.port}"
 
@@ -115,10 +112,8 @@ def main() -> int:
         print("[smoke] GET /records/fig05 byte-identical; ETag 304 ok")
 
         # -- concurrent cold POST /run: single-flight ----------------------
-        baseline_record = json.loads((baselines / f"{_BENCH}.json")
-                                     .read_text())
-        n_cells = sum(len(panel["cells"])
-                      for panel in baseline_record["panels"])
+        committed_record = core.load_record(_BENCH)
+        n_cells = committed_record.n_cells()
         post = json.dumps({"name": _BENCH}).encode()
 
         def run_once(_):
@@ -131,9 +126,9 @@ def main() -> int:
         for status, headers, body in responses:
             assert status == 200, f"POST /run -> {status}: {body!r}"
             run_ids.add(json.loads(body)["run_id"])
-        assert run_ids == {baseline_record["run_id"]}, (
-            f"served run_ids {run_ids} != committed baseline "
-            f"{baseline_record['run_id']}")
+        assert run_ids == {committed_record.run_id}, (
+            f"served run_ids {run_ids} != committed record "
+            f"{committed_record.run_id}")
         status, _, body = _request(f"{base}/stats")
         assert status == 200, f"/stats -> {status}"
         stats = json.loads(body)
@@ -146,7 +141,7 @@ def main() -> int:
               f"run_id={run_ids.pop()}")
 
         # -- cells ----------------------------------------------------------
-        digest = baseline_record["panels"][0]["cells"][0]["digest"]
+        digest = committed_record.panels[0].cells[0].digest
         status, headers, body = _request(f"{base}/cells/{digest}")
         assert status == 200, f"/cells/{digest} -> {status}"
         payload = json.loads(body)

@@ -40,13 +40,7 @@ from ..exceptions import ResultsError
 from ..experiments import bench, bench_names, bench_recorder
 from ..fleet import FleetExecutor, FleetOptions, FleetStats
 from ..experiments.catalog import BenchDef, claimed_digests
-from ..results import (
-    ResultsStore,
-    RunRecord,
-    RunRecorder,
-    baseline_digests,
-    cell_capture,
-)
+from ..results import ResultsStore, RunRecord, RunRecorder, cell_capture
 
 #: Job digests are 32 lowercase hex chars (blake2b, ``digest_size=16``);
 #: anything else is refused before it can touch the filesystem.
@@ -98,7 +92,6 @@ class ServiceCore:
     """
 
     results_dir: Optional[Path] = None
-    baselines_dir: Optional[Path] = None
     cache: Optional[ResultCache] = None
     flight: SingleFlight = field(default_factory=SingleFlight)
     #: Configuration applied to every ``executor="fleet"`` run this
@@ -112,8 +105,6 @@ class ServiceCore:
         """Normalise path-like and directory-like constructor arguments."""
         if self.results_dir is not None:
             self.results_dir = Path(self.results_dir)
-        if self.baselines_dir is not None:
-            self.baselines_dir = Path(self.baselines_dir)
         if self.cache is not None and not isinstance(self.cache, ResultCache):
             self.cache = ResultCache(self.cache)
 
@@ -240,12 +231,6 @@ class ServiceCore:
 
     # -- maintenance ---------------------------------------------------------
 
-    def baseline_keep(self) -> set:
-        """Cell digests pinned by committed baseline records (may be empty)."""
-        if self.baselines_dir is None:
-            return set()
-        return baseline_digests(self.baselines_dir)
-
     def scan_cache(self, directory: Union[str, Path],
                    baseline: set) -> Dict[str, List[Path]]:
         """Split cell files into catalog-claimed, baseline-pinned, orphaned.
@@ -254,7 +239,7 @@ class ServiceCore:
         :meth:`~repro.evaluation.ResultCache.iter_cells`.
         A cell counts as ``claimed`` when a current catalog grid
         produces its digest; failing that, as ``baseline`` when a
-        committed baseline record references it; anything else is an
+        committed run record references it; anything else is an
         orphan.
         """
         claimed = claimed_digests()

@@ -120,13 +120,11 @@ def cache_stats_payload(directory: Path, split: Dict[str, List[Path]],
 
 
 def record_store_entry(directory: Path, runs: List[Path],
-                       cells: Optional[int] = None) -> Dict[str, object]:
+                       cells: int) -> Dict[str, object]:
     """One record-store line of ``cache stats``, as data."""
-    entry: Dict[str, object] = {
+    return {
         "dir": str(directory),
         "runs": len(runs),
+        "cells": cells,
         "bytes": sum(path.stat().st_size for path in runs),
     }
-    if cells is not None:
-        entry["cells"] = cells
-    return entry

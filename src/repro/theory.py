@@ -55,7 +55,7 @@ def theorem5_rate(n: int, epsilon: float, delta: float, dimension: int,
     ``lambda_max^{1/5} (sqrt(log 1/delta) log(dn/zeta))^{4/5} / (n eps)^{2/5}``."""
     check_positive_int(n, "n")
     check_positive(epsilon, "epsilon")
-    check_positive(delta, "delta")
+    check_probability(delta, "delta", allow_zero=False, allow_one=False)
     zeta = check_probability(failure_probability, "failure_probability",
                              allow_zero=False, allow_one=False)
     log_term = math.sqrt(_log_term(1.0 / delta)) * _log_term(dimension * n / zeta)
@@ -73,7 +73,7 @@ def theorem7_rate(n: int, epsilon: float, delta: float, dimension: int,
     check_positive_int(n, "n")
     check_positive_int(sparsity, "sparsity")
     check_positive(epsilon, "epsilon")
-    check_positive(delta, "delta")
+    check_probability(delta, "delta", allow_zero=False, allow_one=False)
     zeta = check_probability(failure_probability, "failure_probability",
                              allow_zero=False, allow_one=False)
     numerator = (fourth_moment * gamma**4 * sparsity**2 * _log_term(n)
@@ -90,7 +90,7 @@ def theorem8_rate(n: int, epsilon: float, delta: float, dimension: int,
     check_positive_int(n, "n")
     check_positive_int(sparsity, "sparsity")
     check_positive(epsilon, "epsilon")
-    check_positive(delta, "delta")
+    check_probability(delta, "delta", allow_zero=False, allow_one=False)
     zeta = check_probability(failure_probability, "failure_probability",
                              allow_zero=False, allow_one=False)
     numerator = (tau * gamma**4 * sparsity**1.5 * _log_term(n)
@@ -106,7 +106,7 @@ def theorem9_rate(n: int, epsilon: float, delta: float, dimension: int,
     check_positive_int(n, "n")
     check_positive_int(sparsity, "sparsity")
     check_positive(epsilon, "epsilon")
-    check_positive(delta, "delta")
+    check_probability(delta, "delta", allow_zero=False, allow_one=False)
     numerator = tau * min(sparsity * _log_term(dimension), _log_term(1.0 / delta))
     return constant * numerator / (n * epsilon)
 

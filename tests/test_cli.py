@@ -187,13 +187,54 @@ class TestDiff:
         assert main(["diff", str(record), str(bad)]) == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_against_catalog_uses_baselines_dir(self, tmp_path, capsys):
+    def test_against_catalog_reads_the_results_dir(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        committed = (REPO_ROOT / "benchmarks" / "results"
+                     / "ablation_threshold.json")
+        (store / "ablation_threshold.json").write_text(committed.read_text())
+
+        def bump_mean(payload):
+            payload["panels"][0]["cells"][0]["stats"]["mean"] += 0.5
+
+        drifted = _perturbed_copy(committed, tmp_path / "drift.json",
+                                  bump_mean)
+        assert main(["diff", str(drifted), "--against-catalog",
+                     "ablation_truncation_threshold",
+                     "--results-dir", str(store)]) == 1
+        out = capsys.readouterr().out
+        assert f"baseline {store / 'ablation_threshold.json'}" in out
+
+    def test_against_catalog_resolves_the_committed_record(
+            self, tmp_path, capsys, monkeypatch):
+        # Run from the repo root, a catalog name resolves through its
+        # result stem to the committed benchmarks/results/fig05.json.
+        committed = REPO_ROOT / "benchmarks" / "results" / "fig05.json"
+        fresh = tmp_path / "fig05.json"
+        fresh.write_text(committed.read_text())
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(["diff", str(fresh), "--against-catalog",
+                     "fig05_lasso_lognormal"]) == 0
+        out = capsys.readouterr().out
+        assert "baseline benchmarks/results/fig05.json" in out
+        assert "verdict: identical (exit 0)" in out
+
+    def test_against_catalog_unknown_name_exits_three_with_menu(
+            self, tmp_path, capsys):
         record = _spec_record(tmp_path, capsys)
-        baselines = tmp_path / "baselines"
-        baselines.mkdir()
-        (baselines / "tiny.json").write_text(record.read_text())
-        assert main(["diff", str(record), "--against-catalog", "tiny",
-                     "--baselines", str(baselines)]) == 0
+        assert main(["diff", str(record), "--against-catalog",
+                     "fig99_nope"]) == 3
+        err = capsys.readouterr().err
+        assert "unknown catalog scenario 'fig99_nope'" in err
+        assert "fig05_lasso_lognormal" in err  # the registry menu
+
+    def test_against_catalog_without_a_store_exits_three(
+            self, tmp_path, capsys, monkeypatch):
+        record = _spec_record(tmp_path, capsys)
+        monkeypatch.chdir(tmp_path)  # no benchmarks/ here
+        assert main(["diff", str(record), "--against-catalog",
+                     "fig05_lasso_lognormal"]) == 3
+        assert "no results directory" in capsys.readouterr().err
 
     def test_requires_exactly_one_comparison_target(self, tmp_path, capsys):
         record = _spec_record(tmp_path, capsys)
@@ -313,21 +354,21 @@ class TestCacheMaintenance:
                             code_token="retired-code")
         pinned = _write_cell(cache, job.digest, [0.1, 0.2])
         orphan = _write_cell(cache, "f" * 32, [0.3])
-        baselines = tmp_path / "baselines"
+        records = tmp_path / "records"
         recorder = RunRecorder(kind="bench", name="pin", result_stem="pin")
         recorder.add_panel(
             title="t", x_name="x", sweep_name="x", series_name="series",
             sweep_values=[1], series_values=["only"], seed=123, n_trials=2,
             point_fingerprint="retired-code", cells=[(job, [0.1, 0.2])])
-        ResultsStore(baselines).save(recorder.finalize())
-        return cache, baselines, pinned, orphan
+        ResultsStore(records).save(recorder.finalize())
+        return cache, records, pinned, orphan
 
     def test_prune_never_deletes_baseline_referenced_cells(self, tmp_path,
                                                            capsys):
-        cache, baselines, pinned, orphan = self._baseline_pinned_cache(
+        cache, records, pinned, orphan = self._baseline_pinned_cache(
             tmp_path)
         assert main(["cache", "prune", "--cache", str(cache),
-                     "--baselines", str(baselines)]) == 0
+                     "--results-dir", str(records)]) == 0
         out = capsys.readouterr().out
         assert "kept=1 deleted=1" in out
         assert "baseline=1" in out
@@ -336,32 +377,32 @@ class TestCacheMaintenance:
 
     def test_stats_counts_baseline_pinned_cells_and_records(self, tmp_path,
                                                             capsys):
-        cache, baselines, _, _ = self._baseline_pinned_cache(tmp_path)
+        cache, records, _, _ = self._baseline_pinned_cache(tmp_path)
         assert main(["cache", "stats", "--cache", str(cache),
-                     "--baselines", str(baselines)]) == 0
+                     "--results-dir", str(records)]) == 0
         out = capsys.readouterr().out
         assert "cells=2" in out and "baseline=1" in out and "orphaned=1" in out
-        assert f"[records] dir={baselines} runs=1 cells=1" in out
+        assert f"[records] dir={records} runs=1 cells=1" in out
 
     def test_prune_warns_loudly_when_no_baselines_found(self, tmp_path,
                                                         capsys, monkeypatch):
-        # Outside the repo root the default baselines dir is absent;
+        # Outside the repo root the default results dir is absent;
         # prune must say the pins are unprotected, never silently
-        # downgrade into deleting baseline-referenced cells.
+        # downgrade into deleting record-referenced cells.
         cache = tmp_path / "cells"
         cache.mkdir()
         monkeypatch.chdir(tmp_path)
         assert main(["cache", "prune", "--cache", str(cache)]) == 0
         err = capsys.readouterr().err
-        assert "warning: no baselines directory" in err
+        assert "warning: no results directory" in err
         assert "NOT protected" in err
 
-    def test_explicit_missing_baselines_dir_is_an_error(self, tmp_path,
-                                                        capsys):
+    def test_explicit_missing_results_dir_is_an_error(self, tmp_path,
+                                                      capsys):
         cache = tmp_path / "cells"
         cache.mkdir()
         assert main(["cache", "prune", "--cache", str(cache),
-                     "--baselines", str(tmp_path / "nope")]) == 1
+                     "--results-dir", str(tmp_path / "nope")]) == 1
         assert "does not exist" in capsys.readouterr().err
 
     def test_cache_commands_require_a_directory(self, capsys, monkeypatch):

@@ -1,10 +1,11 @@
-"""Golden-run regression tests: fresh runs vs committed baseline records.
+"""Golden-run regression tests: fresh runs vs committed run records.
 
-``benchmarks/baselines/`` pins fig05 and the truncation-threshold
-ablation as structured run records.  A fresh in-process run of either
-bench must diff clean against its baseline — zero value drift, equal
-fingerprints, equal ``run_id`` — which is the machine-checkable version
-of "the committed tables still reproduce".  Deliberate perturbations
+``benchmarks/results/`` is the one committed record store, and no test
+or bench writes to it.  A fresh in-process run of fig05 or the
+truncation-threshold ablation must diff clean against its committed
+record — zero value drift, equal fingerprints, equal ``run_id`` — which
+is the machine-checkable version of "the committed tables still
+reproduce".  Deliberate perturbations
 must flip the verdict to the right exit code: 1 for value drift, 2 for
 provenance drift (fingerprint, seed, trial count, grid shape).
 """
@@ -22,7 +23,7 @@ from repro.results import (
     load_record,
 )
 
-BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 def fresh_record(name):
@@ -49,14 +50,14 @@ def ablation_fresh():
 
 @pytest.fixture(scope="module")
 def ablation_baseline():
-    """The committed baseline record for the ablation."""
-    return load_record(BASELINES / "ablation_truncation_threshold.json")
+    """The committed record for the ablation."""
+    return load_record(RESULTS / "ablation_threshold.json")
 
 
 class TestGoldenRuns:
     def test_fig05_matches_committed_baseline(self):
         fresh = fresh_record("fig05_lasso_lognormal")
-        baseline = load_record(BASELINES / "fig05_lasso_lognormal.json")
+        baseline = load_record(RESULTS / "fig05.json")
         diff = diff_records(fresh, baseline)
         assert diff.exit_code == 0, diff.format_summary()
         assert diff.identical and not diff.value_drift
@@ -71,8 +72,7 @@ class TestGoldenRuns:
         assert ablation_fresh.run_id == ablation_baseline.run_id
 
     def test_baseline_tables_match_committed_text(self, ablation_baseline):
-        committed = (BASELINES.parent / "results" /
-                     "ablation_threshold.txt").read_text()
+        committed = (RESULTS / "ablation_threshold.txt").read_text()
         assert ablation_baseline.format_tables() == committed
 
 
@@ -152,7 +152,7 @@ class TestPerturbations:
                    for e in diff.entries)
 
     def test_bench_name_mismatch_is_provenance_drift(self, ablation_baseline):
-        other = load_record(BASELINES / "fig05_lasso_lognormal.json")
+        other = load_record(RESULTS / "fig05.json")
         diff = diff_records(other, ablation_baseline)
         assert diff.exit_code == 2
         assert any(e.location == "run" and e.field == "name"

@@ -45,10 +45,11 @@ from repro.results import diff_records, load_record, save_record
 from repro.service import ServiceCore
 
 REPO_ROOT = Path(__file__).parent.parent
-BASELINES = REPO_ROOT / "benchmarks" / "baselines"
+RESULTS = REPO_ROOT / "benchmarks" / "results"
 
 #: One panel, five cells at laptop scale — cheap enough to compute live.
 CHEAP_BENCH = "ablation_truncation_threshold"
+CHEAP_STEM = "ablation_threshold"
 
 #: Wall-clock-fast fleet: a killed worker's lease expires in half a
 #: second, retries release almost at once, and idle loops poll often.
@@ -546,7 +547,7 @@ class TestServiceTierFleet:
     def test_service_fleet_run_matches_committed_baseline(self, tmp_path):
         """Bench/CLI/served parity extends to the fleet executor."""
         committed = json.loads(
-            (BASELINES / f"{CHEAP_BENCH}.json").read_text())
+            (RESULTS / f"{CHEAP_STEM}.json").read_text())
         core = ServiceCore(cache=tmp_path / "cache", fleet=_fast())
         run = core.run_bench(CHEAP_BENCH, executor="fleet")
         assert run.record.run_id == committed["run_id"]
@@ -577,7 +578,7 @@ class TestServiceTierFleet:
     def test_dead_letter_diffs_as_value_drift_not_corruption(self, tmp_path):
         """Retry exhaustion must read as 'same experiment, wrong numbers'
         (exit 1) — comparable provenance, never a corrupt record."""
-        committed = load_record(BASELINES / f"{CHEAP_BENCH}.json")
+        committed = load_record(RESULTS / f"{CHEAP_STEM}.json")
         poisoned = committed.panels[0].cells[0].digest
         core = ServiceCore(
             cache=tmp_path / "cache",

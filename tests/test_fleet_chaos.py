@@ -28,9 +28,8 @@ from repro.service import ServiceCore
 
 REPO_ROOT = Path(__file__).parent.parent
 RESULTS = REPO_ROOT / "benchmarks" / "results"
-BASELINES = REPO_ROOT / "benchmarks" / "baselines"
 
-#: The committed figure baseline the chaos run must reproduce exactly.
+#: The committed figure record the chaos run must reproduce exactly.
 FIG_BENCH = "fig05_lasso_lognormal"
 
 #: Both worker fault modes at a rate that demonstrably fires on this
@@ -49,8 +48,8 @@ pytestmark = pytest.mark.slow
 @pytest.fixture()
 def chaotic_server(tmp_path):
     """A live server whose fleet executor runs under the chaos schedule."""
-    core = ServiceCore(results_dir=RESULTS, baselines_dir=BASELINES,
-                       cache=tmp_path / "cache", fleet=CHAOS_FLEET)
+    core = ServiceCore(results_dir=RESULTS, cache=tmp_path / "cache",
+                       fleet=CHAOS_FLEET)
     server = _start_server(core)
     return core, f"http://{server.host}:{server.port}"
 
@@ -59,7 +58,7 @@ class TestChaosServing:
     def test_posted_fleet_run_reproduces_the_committed_fig05(
             self, chaotic_server, tmp_path):
         core, base = chaotic_server
-        committed = json.loads((BASELINES / f"{FIG_BENCH}.json").read_text())
+        committed = json.loads((RESULTS / "fig05.json").read_text())
 
         body = json.dumps({"name": FIG_BENCH, "executor": "fleet"}).encode()
         status, headers, response = _request(f"{base}/run", method="POST",
@@ -82,7 +81,7 @@ class TestChaosServing:
         # Beyond run_id equality: the computed record is the committed
         # record — same provenance, same numbers, bit for bit.  Only
         # environment notes (executor label) may differ.
-        baseline = load_record(BASELINES / f"{FIG_BENCH}.json")
+        baseline = load_record(RESULTS / "fig05.json")
         rerun = core.run_bench(FIG_BENCH, executor="fleet").record
         diff = diff_records(baseline, rerun, "baseline", "chaos-fleet")
         assert diff.exit_code == 0

@@ -446,6 +446,14 @@ class TestWorkerOptions:
         err = capsys.readouterr().err
         assert "poll_interval (45.0)" in err and "(30.0)" in err
 
+    def test_missing_pin_store_is_refused_before_polling(self, server,
+                                                         tmp_path, capsys):
+        from repro.fleet.net.worker import main
+        assert main(["--broker", server.address,
+                     "--cache", str(tmp_path / "cells"),
+                     "--results-dir", str(tmp_path / "nope")]) == 2
+        assert "does not exist" in capsys.readouterr().err
+
 
 class TestLongPoll:
     """``wait`` on ``lease``/``outstanding``: the broker answers on change."""

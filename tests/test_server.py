@@ -21,17 +21,16 @@ from repro.service import ServiceCore
 
 REPO_ROOT = Path(__file__).parent.parent
 RESULTS = REPO_ROOT / "benchmarks" / "results"
-BASELINES = REPO_ROOT / "benchmarks" / "baselines"
 
 #: One panel, five cells at laptop scale — cheap enough to compute live.
 CHEAP_BENCH = "ablation_truncation_threshold"
+CHEAP_STEM = "ablation_threshold"
 
 
 @pytest.fixture()
 def served(tmp_path):
     """A live server over the committed stores and a cold tmp cache."""
-    core = ServiceCore(results_dir=RESULTS, baselines_dir=BASELINES,
-                       cache=tmp_path / "cache")
+    core = ServiceCore(results_dir=RESULTS, cache=tmp_path / "cache")
     server = _start_server(core)
     return core, f"http://{server.host}:{server.port}"
 
@@ -97,7 +96,7 @@ class TestComputeEndpoint:
         assert status == 200
         payload = json.loads(response)
         committed = json.loads(
-            (BASELINES / f"{CHEAP_BENCH}.json").read_text())
+            (RESULTS / f"{CHEAP_STEM}.json").read_text())
         assert payload["run_id"] == committed["run_id"]
         assert headers["etag"] == f'"{committed["run_id"]}"'
 
@@ -105,7 +104,7 @@ class TestComputeEndpoint:
         """Eight clients, one cold bench: flights led == cell count."""
         core, base = served
         committed = json.loads(
-            (BASELINES / f"{CHEAP_BENCH}.json").read_text())
+            (RESULTS / f"{CHEAP_STEM}.json").read_text())
         n_cells = sum(len(panel["cells"]) for panel in committed["panels"])
         body = json.dumps({"name": CHEAP_BENCH}).encode()
 
@@ -128,7 +127,7 @@ class TestComputeEndpoint:
         body = json.dumps({"name": CHEAP_BENCH}).encode()
         assert _request(f"{base}/run", method="POST", body=body)[0] == 200
         committed = json.loads(
-            (BASELINES / f"{CHEAP_BENCH}.json").read_text())
+            (RESULTS / f"{CHEAP_STEM}.json").read_text())
         digest = committed["panels"][0]["cells"][0]["digest"]
         status, headers, cell_body = _request(f"{base}/cells/{digest}")
         assert status == 200

@@ -178,8 +178,8 @@ class TestRunIdParity:
 
     def test_service_run_matches_committed_baseline(self, tmp_path):
         baseline = json.loads(
-            (REPO_ROOT / "benchmarks" / "baselines"
-             / f"{CHEAP_BENCH}.json").read_text())
+            (REPO_ROOT / "benchmarks" / "results"
+             / "ablation_threshold.json").read_text())
         core = ServiceCore(cache=tmp_path / "cache")
         run = core.run_bench(CHEAP_BENCH)
         assert run.record.run_id == baseline["run_id"]

@@ -44,6 +44,20 @@ class TestScalarChecks:
         with pytest.raises(ConfigurationError):
             check_probability(1.0, "p", allow_one=False)
 
+    @pytest.mark.parametrize("allow_zero, allow_one, interval", [
+        (True, True, "[0, 1]"),
+        (True, False, "[0, 1)"),
+        (False, True, "(0, 1]"),
+        (False, False, "(0, 1)"),
+    ])
+    def test_probability_message_names_the_enforced_interval(
+            self, allow_zero, allow_one, interval):
+        with pytest.raises(ConfigurationError) as info:
+            check_probability(2.0, "delta", allow_zero=allow_zero,
+                              allow_one=allow_one)
+        assert str(info.value) == (
+            f"delta must be a probability in {interval}, got 2.0")
+
     def test_positive_int(self):
         assert check_positive_int(3, "k") == 3
         with pytest.raises(ConfigurationError):
