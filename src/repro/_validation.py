@@ -47,8 +47,13 @@ def check_probability(value: float, name: str, *, allow_zero: bool = True,
 
 
 def check_positive_int(value: int, name: str) -> int:
-    """Validate that ``value`` is an integer ``>= 1``."""
-    if int(value) != value or int(value) < 1:
+    """Validate that ``value`` is an integer ``>= 1`` (a bool is not one)."""
+    try:
+        valid = (not isinstance(value, (bool, np.bool_))
+                 and int(value) == value and value >= 1)
+    except (TypeError, ValueError, OverflowError):  # inf, nan, non-numbers
+        valid = False
+    if not valid:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy import special
 
 from .._validation import check_positive
 from ..registry import DISTRIBUTIONS
@@ -99,6 +98,9 @@ def log_gamma(rng: SeedLike, shape: ShapeLike, c: float = 0.5) -> np.ndarray:
 
 def log_gamma_mean(c: float = 0.5) -> float:
     """``E log Gamma(c, 1) = digamma(c)``."""
+    # Imported here: processes that never centre log-gamma skip scipy.
+    from scipy import special
+
     check_positive(c, "c")
     return float(special.digamma(c))
 

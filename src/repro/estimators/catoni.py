@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .._validation import check_positive
 
@@ -87,6 +86,9 @@ def correction_term(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``b`` must be strictly positive; callers handle the ``b -> 0``
     degenerate case (no smoothing noise) by falling back to ``phi(a)``.
     """
+    # Imported here: processes that never smooth a sample skip scipy.
+    from scipy.special import ndtr
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     v_minus = (PHI_KNEE - a) / b

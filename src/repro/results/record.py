@@ -368,6 +368,9 @@ class RunRecord:
     #: cells served from cache).  Environment metadata like ``executor``:
     #: excluded from ``run_id``/``config_digest``, advisory only, and
     #: never shape-validated — a record without timings is complete.
+    #: A committed record's timings come from the run that first pinned
+    #: it: ``ResultsStore.save`` never refreshes them while ``run_id``
+    #: holds, so a fresh cold record differs from it only in timings.
     timings: Optional[Tuple[Tuple[Optional[float], ...], ...]] = None
     #: Fleet-run telemetry (``{"counters": ..., "dead_letters": ...}``)
     #: stamped by runs on the work-queue executor.  Environment metadata

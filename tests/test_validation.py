@@ -65,6 +65,14 @@ class TestScalarChecks:
         with pytest.raises(ConfigurationError):
             check_positive_int(2.5, "k")
 
+    @pytest.mark.parametrize("value, shown", [
+        (float("inf"), "inf"), (float("nan"), "nan"), (True, "True")])
+    def test_positive_int_refuses_inf_nan_and_bool(self, value, shown):
+        with pytest.raises(ConfigurationError) as info:
+            check_positive_int(value, "n_samples")
+        assert str(info.value) == (
+            f"n_samples must be a positive integer, got {shown}")
+
 
 class TestArrayChecks:
     def test_vector_coerces(self):
