@@ -28,7 +28,6 @@ from typing import Dict, Optional, Tuple
 from ..evaluation import EXECUTORS
 from ..exceptions import ReproError, ResultsError
 from ..registry import UnknownNameError
-from ..results import manifest_text
 from ..service import ServiceCore, catalog_payload, run_payload, stats_payload
 
 #: Upper bound on request head + body bytes; a repro client never needs
@@ -107,6 +106,7 @@ class ReproServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         """Parse one request, route it, write one response, close."""
+        method = None
         try:
             try:
                 method, path, headers = await self._read_head(reader)
@@ -119,7 +119,8 @@ class ReproServer:
                 ctype, etag = "application/json", None
             except (ConnectionError, asyncio.IncompleteReadError):
                 return
-            self._write_response(writer, status, reason, payload, ctype, etag)
+            self._write_response(writer, status, reason, payload, ctype, etag,
+                                 send_body=method != "HEAD")
             await writer.drain()
         except ConnectionError:
             pass
@@ -173,8 +174,12 @@ class ReproServer:
 
     def _write_response(self, writer: asyncio.StreamWriter, status: int,
                         reason: str, payload: bytes, ctype: str,
-                        etag: Optional[str]) -> None:
-        """One complete ``Connection: close`` HTTP/1.1 response."""
+                        etag: Optional[str], send_body: bool = True) -> None:
+        """One complete ``Connection: close`` HTTP/1.1 response.
+
+        A ``HEAD`` response (``send_body=False``) keeps the
+        ``Content-Length`` of the body it withholds (RFC 9110 §9.3.2).
+        """
         head = [f"HTTP/1.1 {status} {reason}",
                 f"Content-Type: {ctype}",
                 f"Content-Length: {len(payload)}",
@@ -182,7 +187,8 @@ class ReproServer:
         if etag is not None:
             head.append(f"ETag: {etag}")
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-        writer.write(payload)
+        if send_body:
+            writer.write(payload)
 
     async def _in_pool(self, fn, *args):
         """Run blocking work on the dedicated pool, off the event loop."""
@@ -217,13 +223,9 @@ class ReproServer:
                                            Optional[str]]:
         """Dispatch one request; returns (status, reason, body, type, etag)."""
         path = path.split("?", 1)[0]
-        if method == "HEAD":
-            # Same status line and headers as GET, body withheld —
-            # curl -I and cache validators probe ETags this way.
-            status, reason, payload, ctype, etag = await self._route(
-                "GET", path, headers, body)
-            return status, reason, b"", ctype, etag
-        if method == "GET":
+        # HEAD routes as GET; ``_handle`` withholds the body but keeps
+        # every header — curl -I and cache validators probe ETags so.
+        if method in ("GET", "HEAD"):
             if path == "/catalog":
                 return await self._get_catalog(headers)
             if path == "/stats":
@@ -259,7 +261,7 @@ class ReproServer:
         etag = f'"{record.run_id}"'
         if self._not_modified(headers, etag):
             return 304, "Not Modified", b"", "application/json", etag
-        body = manifest_text(record).encode("utf-8")
+        body = self.core.manifest_bytes(record)
         return 200, "OK", body, "application/json", etag
 
     async def _get_cell(self, digest: str, headers: Dict[str, str]):

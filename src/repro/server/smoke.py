@@ -6,8 +6,12 @@ throwaway cell cache, then drives every endpoint over actual HTTP:
 
 * ``GET /catalog`` lists every catalog bench;
 * ``GET /records/fig05`` is byte-identical to the committed
-  ``benchmarks/results/fig05.json`` and a conditional re-request with
-  its ETag returns ``304 Not Modified`` with an empty body;
+  ``benchmarks/results/fig05.json`` on a first and a repeated (memo)
+  fetch, ``HEAD`` reports the file's size, and a conditional
+  re-request with its ETag returns ``304 Not Modified`` with an empty
+  body;
+* ``/records/<name>`` refuses paths: an absolute path and a ``..``
+  walk out of the store and back in both 404 without naming a path;
 * eight simultaneous cold ``POST /run`` s of one bench all succeed with
   the committed record's ``run_id``, while ``GET /stats`` proves the
   single-flight guarantee: the flights-led counter equals the bench's
@@ -98,18 +102,32 @@ def main() -> int:
         print(f"[smoke] GET /catalog ok ({len(names)} benches)")
 
         # -- records + ETag round trip -------------------------------------
-        status, headers, body = _request(f"{base}/records/fig05")
-        assert status == 200, f"/records/fig05 -> {status}"
         committed = (results / "fig05.json").read_bytes()
-        assert body == committed, "served fig05 record != committed bytes"
+        for fetch in ("first", "repeated"):
+            status, headers, body = _request(f"{base}/records/fig05")
+            assert status == 200, f"/records/fig05 -> {status}"
+            assert body == committed, \
+                f"{fetch} fig05 fetch != committed bytes"
         etag = headers["etag"]
+        status, headers, body = _request(f"{base}/records/fig05",
+                                         method="HEAD")
+        assert status == 200 and body == b"", f"HEAD /records/fig05 -> {status}"
+        assert headers["content-length"] == str(len(committed)), (
+            f"HEAD Content-Length {headers['content-length']} != "
+            f"{len(committed)} committed bytes")
         run_id = json.loads(committed)["run_id"]
         assert etag == f'"{run_id}"', f"record ETag {etag} != run_id"
         status, _, body = _request(f"{base}/records/fig05",
                                    headers={"If-None-Match": etag})
         assert status == 304 and body == b"", \
             f"conditional /records/fig05 -> {status} with {len(body)} bytes"
-        print("[smoke] GET /records/fig05 byte-identical; ETag 304 ok")
+        print("[smoke] GET /records/fig05 byte-identical twice; HEAD "
+              "length; ETag 304 ok")
+        for name in ("/etc/hostname.json", "../results/fig05"):
+            status, _, body = _request(f"{base}/records/{name}")
+            assert status == 404, f"/records/{name} -> {status}"
+            assert b"/" not in body, f"/records/{name} named a path: {body!r}"
+        print("[smoke] /records/<name> refuses paths (404, no path echoed)")
 
         # -- concurrent cold POST /run: single-flight ----------------------
         committed_record = core.load_record(_BENCH)

@@ -13,7 +13,9 @@ composes those pieces once and exposes a small method surface:
   coalesce onto one computation per cell digest;
 * query tier — :meth:`ServiceCore.load_record`,
   :meth:`ServiceCore.cell_values`, :meth:`ServiceCore.catalog_entries`
-  answer read requests from the committed stores without computing;
+  answer read requests from the committed stores without computing.
+  Each record file version is verified once and then served from
+  memory while one ``stat`` still matches it;
 * maintenance — :meth:`ServiceCore.scan_cache` and
   :meth:`ServiceCore.prune_cache` split and garbage-collect sharded
   cell files for ``cache stats`` / ``cache prune``.
@@ -24,6 +26,7 @@ Everything above it — :mod:`repro.cli`, ``benchmarks/_common``, and
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -40,11 +43,43 @@ from ..exceptions import ResultsError
 from ..experiments import bench, bench_names, bench_recorder
 from ..fleet import FleetExecutor, FleetOptions, FleetStats
 from ..experiments.catalog import BenchDef, claimed_digests
-from ..results import ResultsStore, RunRecord, RunRecorder, cell_capture
+from ..results import (
+    ResultsStore,
+    RunRecord,
+    RunRecorder,
+    cell_capture,
+    manifest_text,
+)
 
 #: Job digests are 32 lowercase hex chars (blake2b, ``digest_size=16``);
 #: anything else is refused before it can touch the filesystem.
 _DIGEST_RE = re.compile(r"^[0-9a-f]{8,128}$")
+
+#: A record name is a bare stem or catalog name: no separator and no
+#: ``..``, so it can only ever name ``<results_dir>/<name>.json``.
+_RECORD_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+
+
+def _stat(path: Path) -> Optional[os.stat_result]:
+    """``os.stat(path)``, or ``None`` when the file cannot be reached."""
+    try:
+        return os.stat(path)
+    except OSError:
+        return None
+
+
+@dataclass(frozen=True)
+class StoredRecord:
+    """One verified version of a record file, as the query tier holds it.
+
+    ``key`` is the file's ``(st_ino, st_size, st_mtime_ns, st_ctime_ns)``
+    when it was verified; ``manifest`` is :func:`manifest_text` of
+    ``record``, the bytes ``GET /records/<name>`` serves.
+    """
+
+    key: Tuple[int, int, int, int]
+    record: RunRecord
+    manifest: bytes
 
 
 @dataclass(frozen=True)
@@ -100,6 +135,15 @@ class ServiceCore:
     #: Core-lifetime fleet counters, accumulated across every fleet run
     #: and surfaced by ``/stats`` and ``cache stats --json``.
     fleet_stats: FleetStats = field(default_factory=FleetStats)
+    #: Verified record files by path, each valid while its stat key
+    #: matches.  Bounded by the record files in ``results_dir``; no lock,
+    #: since two racing misses both verify and the last write wins.
+    _records: Dict[Path, StoredRecord] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    #: The catalog's ``BenchDef`` s, keyed by the ``bench_names()``
+    #: tuple they were built for.
+    _catalog: Tuple[Tuple[str, ...], Tuple[BenchDef, ...]] = field(
+        default=((), ()), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Normalise path-like and directory-like constructor arguments."""
@@ -117,25 +161,84 @@ class ServiceCore:
         return ResultsStore(self.results_dir)
 
     def catalog_entries(self) -> List[BenchDef]:
-        """Every catalog bench definition at laptop scale, sorted by name."""
-        return [bench(name) for name in bench_names()]
+        """Every catalog bench definition at laptop scale, sorted by name.
+
+        Built once per set of registered names: a bench registered
+        later changes ``bench_names()`` and so rebuilds the list.
+        """
+        names = bench_names()
+        built_for, definitions = self._catalog
+        if built_for != names:
+            definitions = tuple(bench(name) for name in names)
+            self._catalog = (names, definitions)
+        return list(definitions)
 
     def load_record(self, name: str) -> RunRecord:
         """A stored run record by stem (``fig05``) or catalog name.
 
         A catalog bench name resolves through its ``result_stem``, so
         ``GET /records/fig05_lasso_lognormal`` and ``GET /records/fig05``
-        serve the same manifest.  Raises
+        serve the same manifest.  Anything but a bare name (a path, a
+        ``..``) is refused before the filesystem is touched.  Raises
         :class:`~repro.exceptions.ResultsError` when no store is
-        configured or the record does not exist.
+        configured, the name is refused, or the record does not exist
+        or fails verification; no message names a filesystem path.
+        """
+        return self._stored(name).record
+
+    def manifest_bytes(self, record: RunRecord) -> bytes:
+        """The manifest bytes of a record :meth:`load_record` returned.
+
+        Taken from the memo entry holding that very record, so a served
+        body is never re-serialised; any other record is serialised
+        with :func:`~repro.results.manifest_text`.
+        """
+        for stored in tuple(self._records.values()):
+            if stored.record is record:
+                return stored.manifest
+        return manifest_text(record).encode("utf-8")
+
+    def _stored(self, name: str) -> StoredRecord:
+        """The verified current version of record ``name``.
+
+        One ``stat`` revalidates a memo entry.  Any change of inode,
+        size, mtime or ctime — an atomic replace, an in-place edit —
+        misses, and the file goes through :meth:`ResultsStore.load`,
+        which checks both digests, before it is served.  The ``stat``
+        precedes the read, so a write racing the load leaves a stale
+        key behind, never a stale body.
         """
         store = self.store()
         if store is None:
             raise ResultsError("no results directory configured")
-        stem = name
-        if not store.path_for(stem).exists() and name in bench_names():
-            stem = bench(name).result_stem
-        return store.load(stem)
+        if not _RECORD_NAME_RE.fullmatch(name) or ".." in name:
+            raise ResultsError(
+                "a record is named by its stem or catalog bench name, "
+                "not by a path")
+        path = store.path_for(name)
+        status = _stat(path)
+        if status is None and name in bench_names():
+            path = store.path_for(bench(name).result_stem)
+            status = _stat(path)
+        if status is None:
+            self._records.pop(path, None)
+            raise ResultsError(f"no run record named {name!r}")
+        key = (status.st_ino, status.st_size, status.st_mtime_ns,
+               status.st_ctime_ns)
+        stored = self._records.get(path)
+        if stored is not None and stored.key == key:
+            return stored
+        try:
+            record = store.load(path)
+        except ResultsError as exc:
+            self._records.pop(path, None)
+            # Name the file relative to the store, never by its path.
+            message = str(exc).replace(f"{store.directory}{os.sep}", "")
+            raise type(exc)(message) from exc
+        stored = StoredRecord(key=key, record=record,
+                              manifest=manifest_text(record).encode("utf-8"))
+        self._records[path] = stored
+        return stored
 
     def cell_values(self, digest: str) -> Optional[object]:
         """The cached raw trial values for one cell digest, or ``None``.

@@ -7,9 +7,10 @@ and ``python -m repro list --json`` emit :func:`catalog_payload` /
 ``POST /run`` emits :func:`run_payload`.  Scripts parse one shape, and
 the two surfaces cannot drift apart.
 
-Record *bodies* deliberately have no builder here: the server streams
-:func:`repro.results.manifest_text` so a served record is byte-identical
-to its committed file.
+Record *bodies* deliberately have no builder here: the server sends
+:meth:`ServiceCore.manifest_bytes`, the :func:`repro.results.manifest_text`
+of the verified record, so a served record is byte-identical to its
+committed file.
 """
 
 from __future__ import annotations

@@ -19,3 +19,19 @@ def small_linear_data(rng):
     X = rng.normal(size=(n, d))
     y = X @ w_star + 0.05 * rng.normal(size=n)
     return X, y, w_star
+
+
+@pytest.fixture
+def record_loads(monkeypatch):
+    """Every path ``ResultsStore.load`` reads and verifies, in order."""
+    import repro.results.store as store_module
+
+    loads = []
+    real = store_module.load_record
+
+    def counting(path):
+        loads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(store_module, "load_record", counting)
+    return loads

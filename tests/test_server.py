@@ -11,11 +11,13 @@ computation per cell digest while returning the committed baseline's
 """
 
 import json
+import socket
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from repro.results import load_record, save_record
 from repro.server.smoke import _request, _start_server
 from repro.service import ServiceCore
 
@@ -33,6 +35,30 @@ def served(tmp_path):
     core = ServiceCore(results_dir=RESULTS, cache=tmp_path / "cache")
     server = _start_server(core)
     return core, f"http://{server.host}:{server.port}"
+
+
+@pytest.fixture()
+def served_copy(tmp_path):
+    """A live server over a writable copy of one committed record."""
+    store = tmp_path / "results"
+    store.mkdir()
+    (store / "fig05.json").write_bytes((RESULTS / "fig05.json").read_bytes())
+    core = ServiceCore(results_dir=store)
+    server = _start_server(core)
+    return core, f"http://{server.host}:{server.port}", store
+
+
+def _raw_exchange(base: str, request: bytes) -> bytes:
+    """Send one raw request; every byte the server sends before closing."""
+    host, port = base[len("http://"):].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 class TestQueryEndpoints:
@@ -85,6 +111,113 @@ class TestQueryEndpoints:
                         body=json.dumps({"n_trials": 3}).encode())[0] == 400
         assert _request(f"{base}/run", method="POST",
                         body=json.dumps({"name": "zzz"}).encode())[0] == 404
+
+
+class TestRecordMemo:
+    """Records are verified once per file version and served from memory."""
+
+    def test_repeated_and_conditional_gets_verify_once(self, served,
+                                                      record_loads):
+        _, base = served
+        committed = (RESULTS / "fig05.json").read_bytes()
+        etag = f'"{json.loads(committed)["run_id"]}"'
+        for _ in range(50):
+            status, headers, body = _request(f"{base}/records/fig05")
+            assert status == 200 and body == committed
+            assert headers["etag"] == etag
+            status, _, body = _request(f"{base}/records/fig05",
+                                       headers={"If-None-Match": etag})
+            assert status == 304 and body == b""
+        assert record_loads == [RESULTS / "fig05.json"]
+
+    def test_saved_replacement_is_served_with_its_etag(self, served_copy):
+        _, base, store = served_copy
+        _, headers, _ = _request(f"{base}/records/fig05")
+        replacement = load_record(RESULTS / f"{CHEAP_STEM}.json")
+        save_record(replacement, store / "fig05.json")
+        status, fresh_headers, body = _request(
+            f"{base}/records/fig05", headers={"If-None-Match": headers["etag"]})
+        assert status == 200
+        assert fresh_headers["etag"] == f'"{replacement.run_id}"'
+        assert body == (store / "fig05.json").read_bytes()
+
+    def test_in_place_rewrite_with_bad_run_id_is_not_served(self,
+                                                           served_copy):
+        _, base, store = served_copy
+        _, headers, _ = _request(f"{base}/records/fig05")
+        run_id = headers["etag"].strip('"')
+        path = store / "fig05.json"
+        text = path.read_text()
+        with open(path, "r+") as fh:  # same inode, same size
+            fh.write(text.replace(run_id, "0" * len(run_id)))
+        status, _, body = _request(f"{base}/records/fig05")
+        assert status == 404
+        assert b"run_id" in body and str(store).encode() not in body
+
+    def test_deleted_record_is_404_and_dropped(self, served_copy):
+        core, base, store = served_copy
+        assert _request(f"{base}/records/fig05")[0] == 200
+        (store / "fig05.json").unlink()
+        status, _, body = _request(f"{base}/records/fig05")
+        assert status == 404 and str(store).encode() not in body
+        assert core._records == {}
+
+    def test_catalog_lists_a_bench_registered_after_start(self, served,
+                                                          monkeypatch):
+        from repro.experiments.catalog import BenchDef
+        from repro.registry import CATALOG
+
+        _, base = served
+        assert _request(f"{base}/catalog")[0] == 200
+        late = BenchDef(name="zz_registered_late", result_stem="zz_late",
+                        panels=())
+        monkeypatch.setitem(CATALOG._entries, late.name,
+                            lambda full=False: late)
+        status, _, body = _request(f"{base}/catalog")
+        assert status == 200
+        names = [entry["name"] for entry in json.loads(body)["benches"]]
+        assert names[-1] == late.name
+
+
+class TestRecordConfinement:
+    """``/records/<name>`` reaches nothing outside the record store."""
+
+    def test_absolute_path_is_404_without_the_path(self, served, tmp_path):
+        _, base = served
+        outside = tmp_path / "probe_outside.json"
+        outside.write_bytes((RESULTS / "fig05.json").read_bytes())
+        status, _, body = _request(f"{base}/records/{outside}")
+        assert status == 404
+        assert str(tmp_path).encode() not in body
+
+    def test_dot_dot_does_not_walk_out_and_back_in(self, served):
+        _, base = served
+        for name in ("../results/fig05", "../results/fig05.json",
+                     "../../benchmarks/results/fig05"):
+            status, _, body = _request(f"{base}/records/{name}")
+            assert status == 404, name
+            assert b"/" not in body
+
+    def test_cwd_relative_path_is_404(self, served, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        _, base = served
+        for name in ("benchmarks/results/fig05.json", "./fig05.json"):
+            assert _request(f"{base}/records/{name}")[0] == 404, name
+
+
+class TestHead:
+    def test_head_reports_the_get_length_and_sends_no_body(self, served):
+        _, base = served
+        committed = (RESULTS / "fig05.json").read_bytes()
+        response = _raw_exchange(
+            base, b"HEAD /records/fig05 HTTP/1.1\r\nHost: x\r\n\r\n")
+        head, _, rest = response.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 200 OK"
+        fields = dict(line.split(": ", 1) for line in lines[1:])
+        assert fields["Content-Length"] == str(len(committed))
+        assert fields["ETag"] == f'"{json.loads(committed)["run_id"]}"'
+        assert rest == b""
 
 
 class TestComputeEndpoint:

@@ -8,6 +8,7 @@ bench, CLI, and service execution paths produce run records with equal
 """
 
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -20,6 +21,7 @@ from repro.results import load_record, save_record
 from repro.service import ServiceCore
 
 REPO_ROOT = Path(__file__).parent.parent
+RESULTS = REPO_ROOT / "benchmarks" / "results"
 
 #: The cheapest catalog entry: one panel, five cells at laptop scale.
 CHEAP_BENCH = "ablation_truncation_threshold"
@@ -236,3 +238,143 @@ class TestServiceCoreQueries:
         core = ServiceCore()
         names = [d.name for d in core.catalog_entries()]
         assert names == list(bench_names())
+
+
+def _store_copy(tmp_path, *stems):
+    """A fresh record store holding copies of committed records."""
+    store = tmp_path / "results"
+    store.mkdir()
+    for stem in stems:
+        (store / f"{stem}.json").write_bytes(
+            (RESULTS / f"{stem}.json").read_bytes())
+    return store
+
+
+class TestRecordMemo:
+    """A record file version is verified once, then served from memory."""
+
+    def test_repeated_loads_verify_the_file_once(self, record_loads):
+        core = ServiceCore(results_dir=RESULTS)
+        records = {id(core.load_record("fig05")) for _ in range(100)}
+        assert record_loads == [RESULTS / "fig05.json"]
+        assert len(records) == 1
+        record = core.load_record("fig05_lasso_lognormal")
+        assert core.manifest_bytes(record) == (
+            RESULTS / "fig05.json").read_bytes()
+        assert len(record_loads) == 1
+
+    def test_replaced_file_is_verified_and_served(self, tmp_path):
+        store = _store_copy(tmp_path, "fig05")
+        core = ServiceCore(results_dir=store)
+        before = core.load_record("fig05")
+        replacement = load_record(RESULTS / "ablation_threshold.json")
+        save_record(replacement, store / "fig05.json")
+        after = core.load_record("fig05")
+        assert after.run_id == replacement.run_id != before.run_id
+        assert core.manifest_bytes(after) == (store / "fig05.json").read_bytes()
+
+    def test_in_place_rewrite_with_bad_run_id_raises(self, tmp_path):
+        store = _store_copy(tmp_path, "fig05")
+        core = ServiceCore(results_dir=store)
+        run_id = core.load_record("fig05").run_id
+        path = store / "fig05.json"
+        text = path.read_text()
+        with open(path, "r+") as fh:  # same inode, same size
+            fh.write(text.replace(run_id, "0" * len(run_id)))
+        with pytest.raises(ResultsError, match="run_id") as raised:
+            core.load_record("fig05")
+        assert str(store) not in str(raised.value)
+        assert path not in core._records
+
+    def test_deleted_file_raises_and_drops_its_entry(self, tmp_path):
+        store = _store_copy(tmp_path, "fig05")
+        core = ServiceCore(results_dir=store)
+        core.load_record("fig05")
+        assert store / "fig05.json" in core._records
+        (store / "fig05.json").unlink()
+        with pytest.raises(ResultsError, match="no run record named"):
+            core.load_record("fig05")
+        assert core._records == {}
+
+    def test_readers_racing_replaces_end_on_the_last_version(self, tmp_path):
+        """Unlocked memo under contention: no torn entry, no stale win."""
+        store = _store_copy(tmp_path, "fig05")
+        versions = [load_record(RESULTS / "fig05.json"),
+                    load_record(RESULTS / "ablation_threshold.json")]
+        core = ServiceCore(results_dir=store)
+        stop = threading.Event()
+        served, torn = [], []
+
+        def reader():
+            while not stop.is_set():
+                record = core.load_record("fig05")
+                served.append(record.run_id)
+                body = json.loads(core.manifest_bytes(record))
+                if body["run_id"] != record.run_id:
+                    torn.append(record.run_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                readers = [pool.submit(reader) for _ in range(5)]
+                for i in range(40):
+                    save_record(versions[i % 2], store / "fig05.json")
+                stop.set()
+                for future in readers:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(served) <= {v.run_id for v in versions} and not torn
+        assert core.load_record("fig05").run_id == versions[1].run_id
+
+    def test_catalog_sees_a_bench_registered_later(self, monkeypatch):
+        from repro.experiments.catalog import BenchDef
+        from repro.registry import CATALOG
+
+        core = ServiceCore()
+        first = core.catalog_entries()
+        assert core.catalog_entries() == first
+        late = BenchDef(name="zz_registered_late", result_stem="zz_late",
+                        panels=())
+        monkeypatch.setitem(CATALOG._entries, late.name,
+                            lambda full=False: late)
+        assert core.catalog_entries() == first + [late]
+
+
+class TestRecordNames:
+    """``load_record`` takes stems and catalog names, never paths."""
+
+    def test_absolute_path_is_refused_before_any_read(self, tmp_path,
+                                                      record_loads):
+        outside = tmp_path / "outside.json"
+        outside.write_bytes((RESULTS / "fig05.json").read_bytes())
+        core = ServiceCore(results_dir=_store_copy(tmp_path, "fig05"))
+        for name in (str(outside), str(outside.with_suffix(""))):
+            with pytest.raises(ResultsError) as raised:
+                core.load_record(name)
+            assert str(tmp_path) not in str(raised.value)
+        assert record_loads == []
+
+    def test_dot_dot_is_refused(self, tmp_path, record_loads):
+        store = _store_copy(tmp_path, "fig05")
+        (tmp_path / "sibling").mkdir()
+        (tmp_path / "sibling" / "fig05.json").write_bytes(
+            (RESULTS / "fig05.json").read_bytes())
+        core = ServiceCore(results_dir=store)
+        for name in ("../sibling/fig05", "../results/fig05", "..", "a..b"):
+            with pytest.raises(ResultsError):
+                core.load_record(name)
+        assert record_loads == []
+
+    def test_cwd_relative_paths_are_not_reached(self, tmp_path, monkeypatch,
+                                                record_loads):
+        monkeypatch.chdir(RESULTS)
+        core = ServiceCore(results_dir=tmp_path / "empty")
+        for name in ("fig05.json", "./fig05.json",
+                     "../results/fig05.json"):
+            with pytest.raises(ResultsError) as raised:
+                core.load_record(name)
+            assert "/" not in str(raised.value)
+        assert record_loads == []
+        assert core._records == {}
