@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
-from .._validation import (check_dataset, check_positive, check_probability,
-                           check_vector)
+from .._validation import check_dataset, check_positive, check_probability
 from ..core.hyperparams import classic_fw_steps
 from ..core.result import FitResult
 from ..geometry.polytope import Polytope
@@ -51,18 +49,16 @@ class RegularDPFrankWolfe:
     delta: float
     lipschitz_bound: float = 1.0
     n_iterations: int = 50
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.epsilon, "epsilon")
         check_probability(self.delta, "delta", allow_zero=False, allow_one=False)
         check_positive(self.lipschitz_bound, "lipschitz_bound")
 
-    def fit(self, X: np.ndarray, y: np.ndarray,
-            w0: Optional[np.ndarray] = None, rng: SeedLike = None) -> FitResult:
-        """Run clipped DP-FW on ``(X, y)``."""
+    def fit(self, X: np.ndarray, y: np.ndarray, rng: SeedLike = None) -> FitResult:
+        """Run clipped DP-FW on ``(X, y)`` from ``polytope.initial_point()``."""
         X, y = check_dataset(X, y)
-        n, d = X.shape
+        n = X.shape[0]
         rng = ensure_rng(rng)
         T = self.n_iterations
         steps = classic_fw_steps(T)
@@ -78,10 +74,7 @@ class RegularDPFrankWolfe:
         accountant.spend(PrivacyBudget(self.epsilon, self.delta), "exponential",
                          note=f"advanced composition over {T} iterations")
 
-        w = (self.polytope.initial_point() if w0 is None
-             else check_vector(w0, "w0", dim=d).copy())
-        iterates: List[np.ndarray] = [w.copy()] if self.record_history else []
-        risks: List[float] = [self.loss.value(w, X, y)] if self.record_history else []
+        w = self.polytope.initial_point()
         for t in range(T):
             grads = self.loss.per_sample_gradients(w, X, y)
             clipped = np.clip(grads, -self.lipschitz_bound, self.lipschitz_bound)
@@ -90,14 +83,10 @@ class RegularDPFrankWolfe:
             index = mechanism.select(scores, rng=rng)
             vertex = self.polytope.vertex(index)
             w = (1.0 - steps[t]) * w + steps[t] * vertex
-            if self.record_history:
-                iterates.append(w.copy())
-                risks.append(self.loss.value(w, X, y))
 
         return FitResult(
             w=w, n_iterations=T, accountant=accountant,
             advertised_budget=PrivacyBudget(self.epsilon, self.delta),
-            iterates=iterates, risks=risks,
             metadata={"algorithm": "regular_dp_fw",
                       "lipschitz_bound": self.lipschitz_bound,
                       "per_iteration_epsilon": eps_step},

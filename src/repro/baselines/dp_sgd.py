@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .._validation import (
     check_positive,
     check_positive_int,
     check_probability,
-    check_vector,
 )
 from ..core.result import FitResult
 from ..estimators.truncation import clip_l2
@@ -55,7 +54,6 @@ class DPSGD:
     n_iterations: int = 50
     batch_size: Optional[int] = None
     projection: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.epsilon, "epsilon")
@@ -77,13 +75,12 @@ class DPSGD:
         delta_step = self.delta / (2.0 * T)
         return math.sqrt(2.0 * math.log(1.25 / delta_step)) / eps_step
 
-    def fit(self, X: np.ndarray, y: np.ndarray,
-            w0: Optional[np.ndarray] = None, rng: SeedLike = None) -> FitResult:
-        """Run DP-SGD on ``(X, y)``."""
+    def fit(self, X: np.ndarray, y: np.ndarray, rng: SeedLike = None) -> FitResult:
+        """Run DP-SGD on ``(X, y)`` from the (projected) origin."""
         X, y = check_dataset(X, y)
         n, d = X.shape
         rng = ensure_rng(rng)
-        w = np.zeros(d) if w0 is None else check_vector(w0, "w0", dim=d).copy()
+        w = np.zeros(d)
         if self.projection is not None:
             w = self.projection(w)
         batch = n if self.batch_size is None else min(self.batch_size, n)
@@ -95,8 +92,6 @@ class DPSGD:
         accountant.spend(PrivacyBudget(self.epsilon, self.delta), "gaussian",
                          note=f"advanced composition over {self.n_iterations} steps")
 
-        iterates: List[np.ndarray] = [w.copy()] if self.record_history else []
-        risks: List[float] = [self.loss.value(w, X, y)] if self.record_history else []
         for _ in range(self.n_iterations):
             idx = rng.choice(n, size=batch, replace=False) if batch < n else np.arange(n)
             grads = self.loss.per_sample_gradients(w, X[idx], y[idx])
@@ -105,14 +100,10 @@ class DPSGD:
             w = w - self.learning_rate * noisy_grad
             if self.projection is not None:
                 w = self.projection(w)
-            if self.record_history:
-                iterates.append(w.copy())
-                risks.append(self.loss.value(w, X, y))
 
         return FitResult(
             w=w, n_iterations=self.n_iterations, accountant=accountant,
             advertised_budget=PrivacyBudget(self.epsilon, self.delta),
-            iterates=iterates, risks=risks,
             metadata={"algorithm": "dp_sgd", "clip_norm": self.clip_norm,
                       "sigma": sigma},
         )

@@ -11,11 +11,10 @@ Serves two roles in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
-from .._validation import check_dataset, check_positive_int, check_vector
+from .._validation import check_dataset, check_positive_int
 from ..geometry.polytope import Polytope
 from ..losses.base import Loss
 from ..core.hyperparams import classic_fw_steps
@@ -33,6 +32,9 @@ class FrankWolfe:
         Iteration count ``T``; the classic ``2/(t+2)`` step schedule
         gives the standard ``O(1/T)`` primal rate for smooth convex
         losses.
+    record_history:
+        When set, ``fit`` stores the iterate path on ``self.iterates_``
+        and the training risk along it on ``self.risks_``.
     """
 
     loss: Loss
@@ -43,30 +45,21 @@ class FrankWolfe:
     def __post_init__(self) -> None:
         check_positive_int(self.n_iterations, "n_iterations")
 
-    def fit(self, X: np.ndarray, y: np.ndarray,
-            w0: Optional[np.ndarray] = None) -> np.ndarray:
-        """Minimise the empirical risk; returns the final iterate.
-
-        When ``record_history`` is set, the iterate path is stored on
-        ``self.iterates_`` and risks on ``self.risks_``.
-        """
+    def fit(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Minimise the empirical risk from ``polytope.initial_point()``."""
         X, y = check_dataset(X, y)
-        d = X.shape[1]
-        w = (self.polytope.initial_point() if w0 is None
-             else check_vector(w0, "w0", dim=d).copy())
+        w = self.polytope.initial_point()
         steps = classic_fw_steps(self.n_iterations)
-        iterates: List[np.ndarray] = [w.copy()]
-        risks: List[float] = [self.loss.value(w, X, y)]
+        if self.record_history:
+            self.iterates_ = [w.copy()]
+            self.risks_ = [self.loss.value(w, X, y)]
         for t in range(self.n_iterations):
             gradient = self.loss.gradient(w, X, y)
             _, vertex = self.polytope.linear_minimizer(gradient)
             w = (1.0 - steps[t]) * w + steps[t] * vertex
             if self.record_history:
-                iterates.append(w.copy())
-                risks.append(self.loss.value(w, X, y))
-        if self.record_history:
-            self.iterates_ = iterates
-            self.risks_ = risks
+                self.iterates_.append(w.copy())
+                self.risks_.append(self.loss.value(w, X, y))
         return w
 
 

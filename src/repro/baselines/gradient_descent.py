@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .._validation import check_dataset, check_positive, check_positive_int, check_vector
+from .._validation import check_dataset, check_positive, check_positive_int
 from ..losses.base import Loss
 
 
@@ -28,22 +28,17 @@ class GradientDescent:
     n_iterations: int = 200
     projection: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tol: float = 0.0
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.learning_rate, "learning_rate")
         check_positive_int(self.n_iterations, "n_iterations")
 
-    def fit(self, X: np.ndarray, y: np.ndarray,
-            w0: Optional[np.ndarray] = None) -> np.ndarray:
-        """Minimise the empirical risk; returns the final iterate."""
+    def fit(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Minimise the empirical risk from the (projected) origin."""
         X, y = check_dataset(X, y)
-        d = X.shape[1]
-        w = np.zeros(d) if w0 is None else check_vector(w0, "w0", dim=d).copy()
+        w = np.zeros(X.shape[1])
         if self.projection is not None:
             w = self.projection(w)
-        iterates: List[np.ndarray] = [w.copy()]
-        risks: List[float] = [self.loss.value(w, X, y)]
         for _ in range(self.n_iterations):
             gradient = self.loss.gradient(w, X, y)
             if self.tol > 0 and float(np.linalg.norm(gradient)) < self.tol:
@@ -51,12 +46,6 @@ class GradientDescent:
             w = w - self.learning_rate * gradient
             if self.projection is not None:
                 w = self.projection(w)
-            if self.record_history:
-                iterates.append(w.copy())
-                risks.append(self.loss.value(w, X, y))
-        if self.record_history:
-            self.iterates_ = iterates
-            self.risks_ = risks
         return w
 
 

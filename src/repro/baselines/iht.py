@@ -9,11 +9,11 @@ use it both as the "non-private" series and to compute a near-optimal
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .._validation import check_dataset, check_positive, check_positive_int, check_vector
+from .._validation import check_dataset, check_positive, check_positive_int
 from ..geometry.projections import hard_threshold, project_l2_ball
 from ..losses.base import Loss
 
@@ -37,33 +37,21 @@ class IterativeHardThresholding:
     learning_rate: float = 0.5
     n_iterations: int = 100
     project_radius: Optional[float] = None
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         check_positive_int(self.sparsity, "sparsity")
         check_positive(self.learning_rate, "learning_rate")
         check_positive_int(self.n_iterations, "n_iterations")
 
-    def fit(self, X: np.ndarray, y: np.ndarray,
-            w0: Optional[np.ndarray] = None) -> np.ndarray:
-        """Minimise the empirical risk over the ℓ0 ball."""
+    def fit(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Minimise the empirical risk over the ℓ0 ball from the origin."""
         X, y = check_dataset(X, y)
-        d = X.shape[1]
-        w = np.zeros(d) if w0 is None else check_vector(w0, "w0", dim=d).copy()
-        w = hard_threshold(w, self.sparsity)
-        iterates: List[np.ndarray] = [w.copy()]
-        risks: List[float] = [self.loss.value(w, X, y)]
+        w = np.zeros(X.shape[1])
         for _ in range(self.n_iterations):
             gradient = self.loss.gradient(w, X, y)
             w = hard_threshold(w - self.learning_rate * gradient, self.sparsity)
             if self.project_radius is not None:
                 w = project_l2_ball(w, self.project_radius)
-            if self.record_history:
-                iterates.append(w.copy())
-                risks.append(self.loss.value(w, X, y))
-        if self.record_history:
-            self.iterates_ = iterates
-            self.risks_ = risks
         return w
 
 

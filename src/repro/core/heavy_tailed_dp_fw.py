@@ -26,11 +26,11 @@ probability ``1 - zeta``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .._validation import check_dataset, check_positive, check_vector
+from .._validation import check_dataset, check_positive
 from ..estimators.catoni import CatoniEstimator
 from ..estimators.weak_moments import (
     TruncatedMeanEstimator,
@@ -71,8 +71,6 @@ class HeavyTailedDPFW:
         Smoothing-noise inverse variance (the paper uses ``O(1)``).
     schedule_mode:
         ``"theory"`` (Theorem 2 constants) or ``"paper"`` (Section 6.2).
-    step_sizes:
-        Optional explicit Frank–Wolfe steps; default ``2/(t+2)``.
     gradient_estimator:
         ``"catoni"`` (the paper's smoothed estimator, needs bounded
         *second* moments) or ``"truncated"`` (shrink-then-average, the
@@ -82,9 +80,6 @@ class HeavyTailedDPFW:
         Only for ``gradient_estimator="truncated"``: the assumed moment
         ``1 + v``; the automatic threshold is
         ``(m eps tau)^{1/(1+v)}`` per chunk.
-    record_history:
-        When true, store iterates and per-iteration training risk in the
-        result (costs one full-data risk evaluation per iteration).
     """
 
     loss: Loss
@@ -96,10 +91,8 @@ class HeavyTailedDPFW:
     beta: float = 1.0
     failure_probability: float = 0.05
     schedule_mode: str = "theory"
-    step_sizes: Optional[Sequence[float]] = None
     gradient_estimator: str = "catoni"
     moment_order: float = 2.0
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.epsilon, "epsilon")
@@ -124,19 +117,13 @@ class HeavyTailedDPFW:
         return DPFWSchedule(n_iterations=T, scale=float(s), beta=self.beta,
                             chunk_size=n_samples // T)
 
-    def fit(self, X: np.ndarray, y: np.ndarray, w0: Optional[np.ndarray] = None,
-            rng: SeedLike = None,
+    def fit(self, X: np.ndarray, y: np.ndarray, rng: SeedLike = None,
             callback: Optional[Callable[[int, np.ndarray], None]] = None,
             ) -> FitResult:
-        """Run Algorithm 1 on the dataset ``(X, y)``.
+        """Run Algorithm 1 on ``(X, y)`` from ``polytope.initial_point()``.
 
-        Parameters
-        ----------
-        w0:
-            Feasible starting point; defaults to
-            ``polytope.initial_point()``.
-        callback:
-            Optional ``callback(t, w_t)`` invoked after every iteration.
+        ``callback(t, w_t)``, when given, is invoked after every
+        iteration; it is the way to observe the iterate path.
         """
         X, y = check_dataset(X, y)
         n, d = X.shape
@@ -148,12 +135,9 @@ class HeavyTailedDPFW:
         rng = ensure_rng(rng)
         schedule = self.resolve_schedule(n)
         T = schedule.n_iterations
-        steps = list(self.step_sizes) if self.step_sizes is not None else classic_fw_steps(T)
-        if len(steps) < T:
-            raise ValueError(f"need {T} step sizes, got {len(steps)}")
+        steps = classic_fw_steps(T)
 
-        w = (self.polytope.initial_point() if w0 is None
-             else check_vector(w0, "w0", dim=d).copy())
+        w = self.polytope.initial_point()
         if self.gradient_estimator == "catoni":
             estimator = CatoniEstimator(scale=schedule.scale, beta=schedule.beta)
         else:
@@ -169,8 +153,6 @@ class HeavyTailedDPFW:
                          note=f"{T} iterations on disjoint chunks (parallel composition)")
 
         chunk_indices = np.array_split(rng.permutation(n), T)
-        iterates: List[np.ndarray] = [w.copy()] if self.record_history else []
-        risks: List[float] = [self.loss.value(w, X, y)] if self.record_history else []
         selected_vertices: List[int] = []
 
         for t in range(T):
@@ -186,16 +168,12 @@ class HeavyTailedDPFW:
             vertex = self.polytope.vertex(vertex_index)
             selected_vertices.append(vertex_index)
             w = (1.0 - steps[t]) * w + steps[t] * vertex
-            if self.record_history:
-                iterates.append(w.copy())
-                risks.append(self.loss.value(w, X, y))
             if callback is not None:
                 callback(t, w)
 
         return FitResult(
             w=w, n_iterations=T, accountant=accountant,
             advertised_budget=PrivacyBudget(self.epsilon, 0.0),
-            iterates=iterates, risks=risks,
             metadata={
                 "algorithm": "heavy_tailed_dp_fw",
                 "gradient_estimator": self.gradient_estimator,

@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .._validation import (check_dataset, check_positive, check_probability,
-                           check_vector)
+from .._validation import check_dataset, check_positive, check_probability
 from ..estimators.truncation import shrink_dataset
 from ..geometry.polytope import Polytope
-from ..losses.squared import SquaredLoss
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.budget import PrivacyBudget
 from ..privacy.mechanisms import ExponentialMechanism
@@ -67,13 +65,10 @@ class HeavyTailedPrivateLasso:
     threshold: Optional[float] = None
     failure_probability: float = 0.05
     schedule_mode: str = "paper"
-    step_sizes: Optional[Sequence[float]] = None
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.epsilon, "epsilon")
         check_probability(self.delta, "delta", allow_zero=False, allow_one=False)
-        self._loss = SquaredLoss()
 
     def resolve_schedule(self, n_samples: int) -> LassoSchedule:
         """The ``(T, K)`` pair this configuration will run with."""
@@ -91,11 +86,14 @@ class HeavyTailedPrivateLasso:
         """The paper's per-step budget ``eps / (2 sqrt(2 T log(1/delta)))``."""
         return self.epsilon / (2.0 * math.sqrt(2.0 * n_iterations * math.log(1.0 / self.delta)))
 
-    def fit(self, X: np.ndarray, y: np.ndarray, w0: Optional[np.ndarray] = None,
-            rng: SeedLike = None,
+    def fit(self, X: np.ndarray, y: np.ndarray, rng: SeedLike = None,
             callback: Optional[Callable[[int, np.ndarray], None]] = None,
             ) -> FitResult:
-        """Run Algorithm 2 on the dataset ``(X, y)``."""
+        """Run Algorithm 2 on ``(X, y)`` from ``polytope.initial_point()``.
+
+        ``callback(t, w_t)``, when given, is invoked after every
+        iteration; it is the way to observe the iterate path.
+        """
         X, y = check_dataset(X, y)
         n, d = X.shape
         if d != self.polytope.dimension:
@@ -106,9 +104,7 @@ class HeavyTailedPrivateLasso:
         rng = ensure_rng(rng)
         schedule = self.resolve_schedule(n)
         T, K = schedule.n_iterations, schedule.threshold
-        steps = list(self.step_sizes) if self.step_sizes is not None else classic_fw_steps(T)
-        if len(steps) < T:
-            raise ValueError(f"need {T} step sizes, got {len(steps)}")
+        steps = classic_fw_steps(T)
 
         X_shrunk, y_shrunk = shrink_dataset(X, y, K)
         gram = X_shrunk.T @ X_shrunk
@@ -125,10 +121,7 @@ class HeavyTailedPrivateLasso:
                          note=f"advanced composition over {T} iterations "
                               f"at eps'={eps_step:.4g}")
 
-        w = (self.polytope.initial_point() if w0 is None
-             else check_vector(w0, "w0", dim=d).copy())
-        iterates: List[np.ndarray] = [w.copy()] if self.record_history else []
-        risks: List[float] = [self._loss.value(w, X, y)] if self.record_history else []
+        w = self.polytope.initial_point()
         selected_vertices: List[int] = []
 
         for t in range(T):
@@ -138,16 +131,12 @@ class HeavyTailedPrivateLasso:
             vertex = self.polytope.vertex(vertex_index)
             selected_vertices.append(vertex_index)
             w = (1.0 - steps[t]) * w + steps[t] * vertex
-            if self.record_history:
-                iterates.append(w.copy())
-                risks.append(self._loss.value(w, X, y))
             if callback is not None:
                 callback(t, w)
 
         return FitResult(
             w=w, n_iterations=T, accountant=accountant,
             advertised_budget=PrivacyBudget(self.epsilon, self.delta),
-            iterates=iterates, risks=risks,
             metadata={
                 "algorithm": "heavy_tailed_private_lasso",
                 "threshold": K,

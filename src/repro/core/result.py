@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -29,11 +29,6 @@ class FitResult:
         used).
     advertised_budget:
         The ``(epsilon, delta)`` guarantee of the run.
-    iterates:
-        The iterate path ``[w_0, ..., w_T]`` when history recording was
-        requested, else the empty list.
-    risks:
-        Per-iteration training risk when history recording was requested.
     metadata:
         Algorithm-specific diagnostics (chosen schedule, scale, threshold,
         selected vertices, ...).
@@ -43,18 +38,12 @@ class FitResult:
     n_iterations: int
     accountant: PrivacyAccountant
     advertised_budget: PrivacyBudget
-    iterates: List[np.ndarray] = field(default_factory=list)
-    risks: List[float] = field(default_factory=list)
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def privacy_spent(self) -> Optional[PrivacyBudget]:
         """Total ledger charge (basic composition over recorded entries)."""
         return self.accountant.total
-
-    def risk_trace(self) -> np.ndarray:
-        """Risks as an array (empty when history was not recorded)."""
-        return np.asarray(self.risks, dtype=float)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

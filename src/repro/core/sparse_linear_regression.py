@@ -34,12 +34,10 @@ from .._validation import (
     check_positive,
     check_positive_int,
     check_probability,
-    check_vector,
 )
 from ..estimators.truncation import shrink_dataset
-from ..geometry.projections import hard_threshold, project_l2_ball
+from ..geometry.projections import project_l2_ball
 from ..losses.curvature import gram_top_eigenvalue
-from ..losses.squared import SquaredLoss
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.budget import PrivacyBudget
 from ..rng import SeedLike, ensure_rng
@@ -92,14 +90,12 @@ class HeavyTailedSparseLinearRegression:
     step_size: Optional[float] = None
     curvature: Optional[float] = None
     project_radius: float = 1.0
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         check_positive_int(self.sparsity, "sparsity")
         check_positive(self.epsilon, "epsilon")
         check_probability(self.delta, "delta", allow_zero=False, allow_one=False)
         check_positive(self.project_radius, "project_radius")
-        self._loss = SquaredLoss()
 
     def resolve_schedule(self, n_samples: int) -> SparseLinearSchedule:
         """The ``(T, s, K, eta_0)`` this configuration will run with."""
@@ -119,14 +115,13 @@ class HeavyTailedSparseLinearRegression:
                                     threshold=float(K), step_size=float(eta),
                                     chunk_size=n_samples // T)
 
-    def fit(self, X: np.ndarray, y: np.ndarray, w0: Optional[np.ndarray] = None,
-            rng: SeedLike = None,
+    def fit(self, X: np.ndarray, y: np.ndarray, rng: SeedLike = None,
             callback: Optional[Callable[[int, np.ndarray], None]] = None,
             ) -> FitResult:
-        """Run Algorithm 3 on the dataset ``(X, y)``.
+        """Run Algorithm 3 on the dataset ``(X, y)`` from the origin.
 
-        ``w0`` must be ``selection_size``-sparse and inside the ℓ2 ball;
-        ``None`` starts from the origin (which is both).
+        ``callback(t, w_t)``, when given, is invoked after every
+        iteration; it is the way to observe the iterate path.
         """
         X, y = check_dataset(X, y)
         n, d = X.shape
@@ -141,8 +136,7 @@ class HeavyTailedSparseLinearRegression:
         gamma = (self.curvature if self.curvature is not None
                  else gram_top_eigenvalue(X_shrunk, factor=1.0))
         eta0 = eta / gamma
-        w = np.zeros(d) if w0 is None else check_vector(w0, "w0", dim=d).copy()
-        w = project_l2_ball(hard_threshold(w, s), self.project_radius)
+        w = np.zeros(d)
 
         accountant = PrivacyAccountant()
         accountant.spend(PrivacyBudget(self.epsilon, self.delta), "peeling",
@@ -150,8 +144,6 @@ class HeavyTailedSparseLinearRegression:
                               f"(parallel composition)")
 
         chunk_indices = np.array_split(rng.permutation(n), T)
-        iterates: List[np.ndarray] = [w.copy()] if self.record_history else []
-        risks: List[float] = [self._loss.value(w, X, y)] if self.record_history else []
         supports: List[np.ndarray] = []
 
         for t in range(T):
@@ -168,16 +160,12 @@ class HeavyTailedSparseLinearRegression:
                              delta=self.delta, noise_scale=noise_scale, rng=rng)
             supports.append(peeled.support)
             w = project_l2_ball(peeled.vector, self.project_radius)
-            if self.record_history:
-                iterates.append(w.copy())
-                risks.append(self._loss.value(w, X, y))
             if callback is not None:
                 callback(t, w)
 
         return FitResult(
             w=w, n_iterations=T, accountant=accountant,
             advertised_budget=PrivacyBudget(self.epsilon, self.delta),
-            iterates=iterates, risks=risks,
             metadata={
                 "algorithm": "heavy_tailed_sparse_linear_regression",
                 "threshold": K,

@@ -33,10 +33,8 @@ from .._validation import (
     check_positive,
     check_positive_int,
     check_probability,
-    check_vector,
 )
 from ..estimators.catoni import CatoniEstimator
-from ..geometry.projections import hard_threshold
 from ..losses.base import Loss
 from ..losses.curvature import estimate_curvature
 from ..privacy.accountant import PrivacyAccountant
@@ -94,7 +92,6 @@ class HeavyTailedSparseOptimizer:
     step_size: float = 0.5
     curvature: Optional[float] = None
     failure_probability: float = 0.05
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         check_positive_int(self.sparsity, "sparsity")
@@ -122,11 +119,14 @@ class HeavyTailedSparseOptimizer:
             step_size=self.step_size, chunk_size=n_samples // T,
         )
 
-    def fit(self, X: np.ndarray, y: np.ndarray, w0: Optional[np.ndarray] = None,
-            rng: SeedLike = None,
+    def fit(self, X: np.ndarray, y: np.ndarray, rng: SeedLike = None,
             callback: Optional[Callable[[int, np.ndarray], None]] = None,
             ) -> FitResult:
-        """Run Algorithm 5 on the dataset ``(X, y)``."""
+        """Run Algorithm 5 on the dataset ``(X, y)`` from the origin.
+
+        ``callback(t, w_t)``, when given, is invoked after every
+        iteration; it is the way to observe the iterate path.
+        """
         X, y = check_dataset(X, y)
         n, d = X.shape
         rng = ensure_rng(rng)
@@ -136,8 +136,7 @@ class HeavyTailedSparseOptimizer:
         if s > d:
             raise ValueError(f"selection_size {s} exceeds dimension {d}")
 
-        w = np.zeros(d) if w0 is None else check_vector(w0, "w0", dim=d).copy()
-        w = hard_threshold(w, s)
+        w = np.zeros(d)
         gamma = (self.curvature if self.curvature is not None
                  else estimate_curvature(self.loss, X, y, w, rng=rng))
         eta = eta / gamma
@@ -149,8 +148,6 @@ class HeavyTailedSparseOptimizer:
                               f"(parallel composition)")
 
         chunk_indices = np.array_split(rng.permutation(n), T)
-        iterates: List[np.ndarray] = [w.copy()] if self.record_history else []
-        risks: List[float] = [self.loss.value(w, X, y)] if self.record_history else []
         supports: List[np.ndarray] = []
 
         for t in range(T):
@@ -166,16 +163,12 @@ class HeavyTailedSparseOptimizer:
                              delta=self.delta, noise_scale=noise_scale, rng=rng)
             supports.append(peeled.support)
             w = peeled.vector
-            if self.record_history:
-                iterates.append(w.copy())
-                risks.append(self.loss.value(w, X, y))
             if callback is not None:
                 callback(t, w)
 
         return FitResult(
             w=w, n_iterations=T, accountant=accountant,
             advertised_budget=PrivacyBudget(self.epsilon, self.delta),
-            iterates=iterates, risks=risks,
             metadata={
                 "algorithm": "heavy_tailed_sparse_optimizer",
                 "scale": k,

@@ -394,7 +394,7 @@ def get_executor(executor: ExecutorLike = "serial",
 # ---------------------------------------------------------------------------
 
 #: Shard directory names: two lowercase hex characters (digest prefix).
-_SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
+_SHARD_RE = re.compile(r"[0-9a-f]{2}")
 
 
 @dataclass(frozen=True)
@@ -476,7 +476,7 @@ class ResultCache:
         ignored, matching ``get``'s notion of what can ever be read back.
         """
         for shard in sorted(self.directory.iterdir()):
-            if shard.is_dir() and _SHARD_RE.match(shard.name):
+            if shard.is_dir() and _SHARD_RE.fullmatch(shard.name):
                 yield from sorted(shard.glob("*.json"))
 
     def read_values(self, digest: str) -> Optional[object]:

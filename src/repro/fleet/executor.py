@@ -88,9 +88,6 @@ class FleetOptions:
     #: ``ConnectionError`` — the window a journalled broker has to
     #: restart unnoticed.
     reconnect_timeout: float = 30.0
-    #: Discard another coordinator's in-flight run on ``reset`` instead
-    #: of failing with ``BrokerBusyError``.
-    force_reset: bool = False
 
     def __post_init__(self):
         """Validate pool and timing parameters."""
@@ -248,7 +245,6 @@ class FleetExecutor:
         broker = SocketBroker(address, lease_timeout=opts.lease_timeout,
                               max_attempts=opts.max_attempts,
                               backoff=opts.backoff, reset=True,
-                              force_reset=opts.force_reset,
                               reconnect_timeout=opts.reconnect_timeout)
         try:
             jobs = {job.digest: job for _, job in payloads}

@@ -56,11 +56,11 @@ class ReproServer:
     """One service core behind an asyncio HTTP listener.
 
     ``port=0`` binds an ephemeral port; read the bound address back
-    from :attr:`port` after :meth:`start` (the smoke harness and tests
-    rely on this).  ``max_workers`` bounds the blocking-work pool — and
-    therefore how many ``POST /run`` computations plus disk reads can
-    be in flight at once; coalescing keeps the engine work per cold
-    digest at one regardless.
+    from :attr:`port` after :meth:`start` (the tests rely on this).
+    ``max_workers`` bounds the blocking-work pool — and therefore how
+    many ``POST /run`` computations plus disk reads can be in flight at
+    once; coalescing keeps the engine work per cold digest at one
+    regardless.
     """
 
     def __init__(self, core: ServiceCore, host: str = "127.0.0.1",

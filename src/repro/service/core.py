@@ -53,7 +53,7 @@ from ..results import (
 
 #: Job digests are 32 lowercase hex chars (blake2b, ``digest_size=16``);
 #: anything else is refused before it can touch the filesystem.
-_DIGEST_RE = re.compile(r"^[0-9a-f]{8,128}$")
+_DIGEST_RE = re.compile(r"[0-9a-f]{8,128}")
 
 #: A record name is a bare stem or catalog name: no separator and no
 #: ``..``, so it can only ever name ``<results_dir>/<name>.json``.
@@ -246,7 +246,7 @@ class ServiceCore:
         The digest is validated as hex before it is used in a path —
         a traversal attempt (``../``) can never reach the filesystem.
         """
-        if self.cache is None or not _DIGEST_RE.match(digest):
+        if self.cache is None or not _DIGEST_RE.fullmatch(digest):
             return None
         return self.cache.read_values(digest)
 

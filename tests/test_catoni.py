@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
@@ -138,10 +138,17 @@ class TestKernelParity:
                                       _bits(_reference(a, b)))
 
     @given(a=_A, b=_B)
+    @example(a=54.14064221508421, b=38.58482788585614)
     @settings(max_examples=100, deadline=None)
     def test_bit_equal_zero_dim(self, a, b):
+        # The kernel evaluates the correction on the 1-element slice of
+        # entries near the knee, so the reference gets a 1-element array
+        # too: numpy's 0-d and 1-d ufunc paths may differ in the last ulp,
+        # which shows where the polynomial and the correction cancel
+        # (the pinned example).
         out = smoothed_phi(np.array(a), np.array(b))
-        assert _bits(out) == _bits(_reference(np.array(a), np.array(b)))
+        expected = _reference(np.atleast_1d(a), np.atleast_1d(b))[0]
+        assert _bits(out) == _bits(expected)
 
     @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
         hnp.arrays(np.float64, n, elements=_A),

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from _http import _request, _start_server
 from repro.fleet import BackoffPolicy, FaultSchedule, FleetOptions
 from repro.results import diff_records, load_record
-from repro.server.smoke import _request, _start_server
 from repro.service import ServiceCore
 
 REPO_ROOT = Path(__file__).parent.parent

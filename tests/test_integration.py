@@ -13,6 +13,7 @@ from repro import (
     HeavyTailedDPFW,
     HeavyTailedPrivateLasso,
     HeavyTailedSparseLinearRegression,
+    HeavyTailedSparseOptimizer,
     L1Ball,
     SquaredLoss,
     l1_ball_truth,
@@ -149,3 +150,55 @@ class TestPrivacyAccountingEndToEnd:
             assert result.privacy_spent is not None
             assert result.advertised_budget.covers(result.privacy_spent)
             assert result.privacy_spent.covers(result.advertised_budget)
+
+
+
+def _in_l1_ball(w):
+    return L1Ball(w.size).contains(w, tol=1e-9)
+
+
+def _sparse(w):
+    return np.count_nonzero(w) <= 4
+
+
+def _sparse_in_l2_ball(w):
+    return _sparse(w) and np.linalg.norm(w) <= 1.0 + 1e-12
+
+
+# Each paper algorithm with T = 5 and the set its iterates must stay in:
+# the l1 ball for the Frank-Wolfe methods, the s-sparse vectors
+# (s = 2 * sparsity = 4) for the peeling methods, which Algorithm 3
+# also projects onto the unit l2 ball.
+PAPER_ALGORITHMS = [
+    pytest.param(HeavyTailedDPFW(SquaredLoss(), L1Ball(10), epsilon=1.0,
+                                 n_iterations=5),
+                 _in_l1_ball, id="algorithm1_dp_fw"),
+    pytest.param(HeavyTailedPrivateLasso(L1Ball(10), epsilon=1.0, delta=1e-5,
+                                         n_iterations=5),
+                 _in_l1_ball, id="algorithm2_private_lasso"),
+    pytest.param(HeavyTailedSparseLinearRegression(
+                     sparsity=2, epsilon=1.0, delta=1e-5, n_iterations=5),
+                 _sparse_in_l2_ball, id="algorithm3_sparse_linear"),
+    pytest.param(HeavyTailedSparseOptimizer(
+                     SquaredLoss(), sparsity=2, epsilon=1.0, delta=1e-5,
+                     n_iterations=5),
+                 _sparse, id="algorithm5_sparse_optimizer"),
+]
+
+
+class TestIterateCallback:
+    """``fit(callback=)`` is the one way to watch a paper algorithm run."""
+
+    @pytest.mark.parametrize("solver, feasible", PAPER_ALGORITHMS)
+    def test_fires_once_per_iteration_with_feasible_iterates(
+            self, solver, feasible, rng):
+        w_star = sparse_truth(10, 2, rng, norm_bound=0.5)
+        data = make_linear_data(1000, w_star, LOGNORMAL, SMALL_NOISE, rng=rng)
+        seen = []
+        result = solver.fit(data.features, data.labels, rng=rng,
+                            callback=lambda t, w: seen.append((t, w.copy())))
+        assert result.n_iterations == 5
+        assert [t for t, _ in seen] == list(range(5))
+        for _, w in seen:
+            assert feasible(w)
+        np.testing.assert_array_equal(seen[-1][1], result.w)

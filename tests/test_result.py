@@ -29,15 +29,6 @@ class TestFitResult:
         result = _make_result(accountant=PrivacyAccountant())
         assert result.privacy_spent is None
 
-    def test_risk_trace_empty_by_default(self):
-        assert _make_result().risk_trace().size == 0
-
-    def test_risk_trace_array(self):
-        result = _make_result(risks=[1.0, 0.5, 0.25])
-        trace = result.risk_trace()
-        assert trace.dtype == float
-        np.testing.assert_allclose(trace, [1.0, 0.5, 0.25])
-
     def test_repr_mentions_iterations_and_budget(self):
         text = repr(_make_result())
         assert "n_iterations=3" in text

@@ -2,8 +2,8 @@
 
 Each test boots a :class:`~repro.server.ReproServer` on an ephemeral
 port (daemon-thread event loop) against the committed record stores and
-drives it with blocking ``urllib`` clients — the same transport the CI
-smoke job uses.  The acceptance-critical cases: a served record is
+drives it with blocking ``urllib`` clients; CI's ``serve`` job runs this
+file.  The acceptance-critical cases: a served record is
 byte-identical to its committed file, conditional requests round-trip
 to 304, and concurrent cold ``POST /run`` s coalesce onto one engine
 computation per cell digest while returning the committed baseline's
@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from _http import _request, _start_server
 from repro.results import load_record, save_record
-from repro.server.smoke import _request, _start_server
 from repro.service import ServiceCore
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -103,6 +103,7 @@ class TestQueryEndpoints:
         assert _request(f"{base}/records/no-such")[0] == 404
         assert _request(f"{base}/cells/{'0' * 32}")[0] == 404
         assert _request(f"{base}/cells/../secrets")[0] == 404
+        assert _request(f"{base}/cells/../../etc/passwd")[0] == 404
         assert _request(f"{base}/nope")[0] == 404
         assert _request(f"{base}/catalog", method="DELETE")[0] == 405
         assert _request(f"{base}/run", method="POST",

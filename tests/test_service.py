@@ -162,6 +162,12 @@ class TestShardMigration:
         stems = sorted(path.stem for path in cache.iter_cells())
         assert stems == sorted(job.digest for job in jobs)
 
+    def test_iter_cells_skips_shard_names_with_trailing_newline(self, tmp_path):
+        shard = tmp_path / "ab\n"
+        shard.mkdir()
+        (shard / ("ab" * 16 + ".json")).write_text("[1.0]")
+        assert list(ResultCache(tmp_path).iter_cells()) == []
+
     def test_scan_and_prune_cover_both_layouts(self, tmp_path):
         """cache stats / prune see (and delete) sharded orphan cells."""
         core = ServiceCore()
@@ -231,6 +237,16 @@ class TestServiceCoreQueries:
         assert core.cell_values("../../etc/passwd") is None
         assert core.cell_values("ZZ" * 16) is None
         assert core.cell_values("ab" * 16) is None  # hex but absent
+
+    def test_cell_values_rejects_digest_with_trailing_newline(self, tmp_path):
+        digest = "ab" * 16
+        shard = tmp_path / "ab"
+        shard.mkdir()
+        (shard / f"{digest}.json").write_text("[1.0]")
+        (shard / f"{digest}\n.json").write_text("[2.0]")
+        core = ServiceCore(cache=tmp_path)
+        assert core.cell_values(digest) == [1.0]
+        assert core.cell_values(digest + "\n") is None
 
     def test_catalog_entries_cover_every_bench(self):
         from repro.experiments import bench_names
