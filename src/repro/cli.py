@@ -50,8 +50,8 @@ Subcommands
     from it, compute through the unchanged engine job path, and
     complete with bit-identical values.  ``python -m repro run <bench>
     --executor fleet --broker HOST:PORT`` coordinates a run across
-    them.  ``broker --journal PATH`` (or ``$REPRO_FLEET_JOURNAL``)
-    write-ahead logs every broker mutation so a killed broker restarts
+    them.  ``broker --journal PATH`` write-ahead logs (and fsyncs)
+    every broker mutation so a killed broker restarts
     into the exact pre-crash state and the in-flight run resumes;
     coordinators and workers ride out the downtime by reconnecting
     under seeded backoff.

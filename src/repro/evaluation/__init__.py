@@ -4,7 +4,6 @@ from .ascii_plots import ascii_plot
 from .engine import (
     ENGINE_VERSION,
     EXECUTORS,
-    EvictionPolicy,
     ResultCache,
     SerialExecutor,
     SingleFlight,
@@ -42,7 +41,6 @@ __all__ = [
     "AxisSpec",
     "ENGINE_VERSION",
     "EXECUTORS",
-    "EvictionPolicy",
     "ExperimentSpec",
     "FingerprintError",
     "PointSpec",

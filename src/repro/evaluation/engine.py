@@ -358,9 +358,9 @@ def get_executor(executor: ExecutorLike = "serial",
     ``executor`` is one of :data:`EXECUTORS` — ``"serial"``,
     ``"thread"``, or ``"fleet"`` (the work-queue executor of
     :mod:`repro.fleet`: a loopback broker with ``max_workers`` worker
-    threads, or the networked broker named by ``REPRO_FLEET_BROKER``)
-    — or any object with a ``run(payloads)`` method (returned
-    unchanged).
+    threads) — or any object with a ``run(payloads)`` method (returned
+    unchanged).  A networked fleet is a :class:`~repro.fleet.FleetExecutor`
+    built with ``FleetOptions(broker=...)``.
     """
     if isinstance(executor, str):
         if executor == "serial":
@@ -371,16 +371,9 @@ def get_executor(executor: ExecutorLike = "serial",
             # Imported lazily: repro.fleet imports this module for the
             # job-execution path, so a top-level import would be a cycle.
             from ..fleet import FleetExecutor, FleetOptions
-            kwargs = {}
-            if max_workers is not None:
-                kwargs["n_workers"] = max_workers
-            # REPRO_FLEET_BROKER routes env-selected fleet runs (the
-            # bench suite under REPRO_BENCH_EXECUTOR=fleet, spec runs)
-            # to a networked broker instead of a loopback one.
-            broker = os.environ.get("REPRO_FLEET_BROKER")
-            if broker:
-                kwargs["broker"] = broker
-            return FleetExecutor(FleetOptions(**kwargs))
+            if max_workers is None:
+                return FleetExecutor()
+            return FleetExecutor(FleetOptions(n_workers=max_workers))
         raise ValueError(f"unknown executor {executor!r}; expected one "
                          f"of {', '.join(EXECUTORS)}")
     if hasattr(executor, "run"):
@@ -397,46 +390,6 @@ def get_executor(executor: ExecutorLike = "serial",
 _SHARD_RE = re.compile(r"[0-9a-f]{2}")
 
 
-@dataclass(frozen=True)
-class EvictionPolicy:
-    """Size/age bounds for a long-lived cell cache (LRU over shards).
-
-    The multi-machine cell-store policy: a networked fleet worker's
-    cache grows with every bench the fleet routes through it, so the
-    cache is bounded — least-recently-used cells (by file mtime, which
-    cache hits refresh) are evicted once any configured bound is
-    exceeded.  *Pinned* digests — the baseline keep-set the prune
-    command honours (:func:`repro.results.baseline_digests`) — are
-    never evicted, however old or over-budget the cache gets: a cell a
-    committed baseline references must survive any amount of churn.
-
-    ``max_cells`` / ``max_bytes`` bound the cache size (pinned cells
-    count toward the totals but only unpinned cells can be evicted to
-    get back under); ``max_age_seconds`` additionally drops any
-    unpinned cell not touched within the window.  A policy with no
-    bound configured is a no-op.
-    """
-
-    max_cells: Optional[int] = None
-    max_bytes: Optional[int] = None
-    max_age_seconds: Optional[float] = None
-
-    def __post_init__(self):
-        """Validate that configured bounds are positive."""
-        if self.max_cells is not None and self.max_cells < 1:
-            raise ValueError(f"max_cells must be >= 1, got {self.max_cells}")
-        if self.max_bytes is not None and self.max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {self.max_bytes}")
-        if self.max_age_seconds is not None and self.max_age_seconds <= 0:
-            raise ValueError(f"max_age_seconds must be > 0, "
-                             f"got {self.max_age_seconds}")
-
-    def bounded(self) -> bool:
-        """Whether any bound is configured (an unbounded policy no-ops)."""
-        return (self.max_cells is not None or self.max_bytes is not None
-                or self.max_age_seconds is not None)
-
-
 class ResultCache:
     """Per-cell trial-value cache keyed by the job digest.
 
@@ -451,14 +404,25 @@ class ResultCache:
     characters of the digest (``ab/abcd….json``) so the directory stays
     fast at tens of thousands of cells.  Hit/miss counters are
     lock-protected: one cache may be shared by concurrent requests.
+
+    ``max_cells`` bounds a long-lived cache, such as a networked fleet
+    worker's, which grows with every bench routed through it: after
+    every write the least-recently-used cells (by file mtime, which
+    hits refresh) are evicted down to ``max_cells``.  Digests in
+    ``pinned`` — the committed records' keep-set
+    (:func:`repro.results.baseline_digests`) — are never evicted, so a
+    cache of pinned cells alone may exceed the bound.  ``None`` never
+    evicts.
     """
 
     def __init__(self, directory: Union[str, Path],
-                 eviction: Optional[EvictionPolicy] = None,
+                 max_cells: Optional[int] = None,
                  pinned: Sequence[str] = ()):
+        if max_cells is not None and max_cells < 1:
+            raise ValueError(f"max_cells must be >= 1, got {max_cells}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.eviction = eviction
+        self.max_cells = max_cells
         self.pinned = frozenset(pinned)
         self.evicted = 0
         self.hits = 0
@@ -508,9 +472,8 @@ class ResultCache:
     def get(self, job: TrialJob) -> Optional[List[float]]:
         """Cached trial values for ``job``, or ``None`` on a miss.
 
-        Under a bounded :class:`EvictionPolicy`, a hit refreshes the
-        cell file's mtime so recently-used cells sort to the young end
-        of the LRU order.
+        Under ``max_cells``, a hit refreshes the cell file's mtime so
+        recently-used cells sort to the young end of the LRU order.
         """
         values = self._read(job)
         with self._stats_lock:
@@ -518,13 +481,9 @@ class ResultCache:
                 self.misses += 1
             else:
                 self.hits += 1
-        if values is not None and self._evicting():
+        if values is not None and self.max_cells is not None:
             self._touch(job.digest)
         return values
-
-    def _evicting(self) -> bool:
-        """Whether this cache enforces eviction bounds."""
-        return self.eviction is not None and self.eviction.bounded()
 
     def _touch(self, digest: str) -> None:
         """Refresh a cell's mtime (LRU recency); races are harmless."""
@@ -536,9 +495,9 @@ class ResultCache:
     def put(self, job: TrialJob, values: Sequence[float]) -> None:
         """Atomically persist the trial values for ``job``.
 
-        Under a bounded :class:`EvictionPolicy` every write is followed
-        by an eviction pass, so the cache can never exceed its bounds
-        by more than the one cell just written.
+        Under ``max_cells`` every write is followed by an eviction
+        pass, so the cache never holds more unpinned cells than the
+        bound allows.
         """
         target = self._path(job.digest)
         target.parent.mkdir(exist_ok=True)
@@ -551,55 +510,29 @@ class ResultCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-        if self._evicting():
+        if self.max_cells is not None:
             self.evict()
 
-    def evict(self, now: Optional[float] = None) -> List[Path]:
-        """Apply the eviction policy; returns the deleted cell files.
+    def evict(self) -> List[Path]:
+        """Evict down to ``max_cells``; returns the deleted cell files.
 
         Cells are ranked oldest-mtime-first (LRU: :meth:`get` hits
-        refresh mtime).  First every unpinned cell older than
-        ``max_age_seconds`` goes; then the oldest unpinned cells are
-        dropped until both ``max_cells`` and ``max_bytes`` hold.
-        Pinned digests are never candidates — a cache consisting
-        entirely of pinned cells may legitimately exceed its bounds.
+        refresh mtime) and the oldest unpinned cells are dropped until
+        at most ``max_cells`` remain.  Pinned digests are never
+        candidates.
         """
-        if not self._evicting():
+        if self.max_cells is None:
             return []
-        policy = self.eviction
-        now = time.time() if now is None else now
         entries = []
         for path in self.iter_cells():
             try:
-                stat = path.stat()
+                entries.append((path.stat().st_mtime, path))
             except OSError:
                 continue  # concurrently evicted or pruned elsewhere
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort(key=lambda e: (e[0], e[2].name))
-        victims: List[Path] = []
-        survivors = []
-        for mtime, size, path in entries:
-            if path.stem in self.pinned:
-                survivors.append((mtime, size, path))
-            elif (policy.max_age_seconds is not None
-                    and now - mtime > policy.max_age_seconds):
-                victims.append(path)
-            else:
-                survivors.append((mtime, size, path))
-        total_cells = len(survivors)
-        total_bytes = sum(size for _, size, _ in survivors)
-        for mtime, size, path in survivors:
-            over = ((policy.max_cells is not None
-                     and total_cells > policy.max_cells)
-                    or (policy.max_bytes is not None
-                        and total_bytes > policy.max_bytes))
-            if not over:
-                break
-            if path.stem in self.pinned:
-                continue
-            victims.append(path)
-            total_cells -= 1
-            total_bytes -= size
+        entries.sort(key=lambda e: (e[0], e[1].name))
+        excess = len(entries) - self.max_cells
+        victims = [path for _, path in entries
+                   if path.stem not in self.pinned][:max(excess, 0)]
         for path in victims:
             try:
                 path.unlink()
@@ -698,16 +631,10 @@ def _normalize_cell(item: object) -> Tuple[List[float], Optional[float], bool]:
     The built-in pool executors yield ``(values, seconds)``; the fleet
     executor yields ``(values, seconds, cacheable)`` — ``cacheable``
     False marks a placeholder cell (a dead-lettered job) that must
-    never be persisted to the result cache; custom executors predating
-    cell timing yield bare trial-value lists, which are accepted
-    unchanged with an unknown (``None``) elapsed time.
+    never be persisted to the result cache.
     """
-    if (isinstance(item, tuple) and len(item) in (2, 3)
-            and isinstance(item[0], (list, tuple))
-            and (item[1] is None or isinstance(item[1], (int, float)))):
-        cacheable = bool(item[2]) if len(item) == 3 else True
-        return list(item[0]), item[1], cacheable
-    return list(item), None, True
+    values, elapsed, *cacheable = item
+    return list(values), elapsed, bool(cacheable[0]) if cacheable else True
 
 
 def run_grid(point: PointFn, sweep_name: str, sweep_values: Sequence[object],
@@ -738,11 +665,10 @@ def run_grid(point: PointFn, sweep_name: str, sweep_values: Sequence[object],
     executor:
         ``"serial"``, ``"thread"``, ``"fleet"``, or any
         object whose ``run(payloads)`` returns an iterable — of
-        ``(values, seconds)`` pairs like the built-in pools,
+        ``(values, seconds)`` pairs like the built-in pools, or
         ``(values, seconds, cacheable)`` triples like the fleet
-        (``cacheable`` False skips the cache write for that cell), or
-        bare trial-value lists — in payload order (streaming
-        generators preserve partial progress).
+        (``cacheable`` False skips the cache write for that cell) — in
+        payload order (streaming generators preserve partial progress).
     cache:
         ``None``, a directory path, or a :class:`ResultCache`.
     cache_tag:

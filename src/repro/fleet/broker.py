@@ -31,7 +31,7 @@ Fault tolerance is structural, not aspirational:
   are digest-addressed: any two completions of one key carry
   bit-identical values.
 
-The method contract (enqueue/lease/heartbeat/complete/fail/expire, the
+The method contract (enqueue/lease/heartbeat/complete/expire, the
 ``state``/``result``/``outstanding`` observers, and
 ``dead_letters``/``counters``) is what
 :class:`~repro.fleet.net.BrokerServer` serves and
@@ -286,26 +286,6 @@ class InProcessBroker:
             return "late"
         return "completed"
 
-    def fail(self, lease_id: int, now: float, reason: str = "failed") -> str:
-        """A worker explicitly reports an attempt failed.
-
-        Faster than waiting for lease expiry, same outcome: requeue
-        with backoff, or a dead letter once attempts are exhausted.
-        Returns ``"requeued"``, ``"dead"``, or ``"ignored"`` (the task
-        already completed via another lease).
-        """
-        key = self._resolve_owner(lease_id)
-        if key is None:
-            return "ignored"
-        self._record("fail", lease_id=lease_id, now=now, reason=reason)
-        task = self._tasks[key]
-        task.leases.pop(lease_id, None)
-        if task.state != LEASED:
-            return "ignored"
-        if task.leases:
-            return "ignored"
-        return self._requeue_or_bury(task, now, reason)
-
     def expire(self, now: float) -> List[int]:
         """Reap every lease whose deadline has passed; returns their ids.
 
@@ -330,26 +310,25 @@ class InProcessBroker:
                 self.counters["expired"] += 1
                 reaped.append(lid)
             if task.state == LEASED and dead and not task.leases:
-                self._requeue_or_bury(task, now, "lease expired")
+                self._requeue_or_bury(task, now)
         return reaped
 
-    def _requeue_or_bury(self, task: _Task, now: float, reason: str) -> str:
-        """Send a failed task back to the queue, or to the dead letters."""
+    def _requeue_or_bury(self, task: _Task, now: float) -> None:
+        """Send an expired task back to the queue, or to the dead letters."""
         if task.attempts >= self.max_attempts:
             task.state = DEAD
             self._prune(task)
             letter = DeadLetter(
                 key=task.key, attempts=task.attempts,
-                reason=f"{reason} after {task.attempts} attempts",
+                reason=f"lease expired after {task.attempts} attempts",
                 payload=task.payload)
             self.dead_letters.append(letter)
             self.counters["dead"] += 1
-            return "dead"
+            return
         task.state = QUEUED
         task.not_before = now + self.backoff.delay(task.key,
                                                    task.attempts - 1)
         self.counters["retried"] += 1
-        return "requeued"
 
     # -- observation ---------------------------------------------------------
 

@@ -30,8 +30,7 @@ the schedule seed, the cell digest and the attempt.
 Cells the fleet could not complete (retry exhaustion) are returned as
 placeholder values with ``cacheable=False`` so the engine never
 persists them; their provenance lands in :attr:`FleetExecutor.dead_letters`
-for the run record.  Set ``dead_letter_policy="raise"`` to fail the
-run instead.
+for the run record.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ from .faults import FaultSchedule
 
 
 class FleetError(ReproError, RuntimeError):
-    """The fleet could not finish a grid (dead letters under ``raise``,
-    or a coordinator stall, which is always a bug)."""
+    """The fleet could not settle a grid: no workers, an unreachable
+    broker, or a cell left unsettled, which is always a bug."""
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,6 @@ class FleetOptions:
     max_attempts: int = 3
     backoff: BackoffPolicy = BackoffPolicy()
     faults: FaultSchedule = FaultSchedule()
-    #: ``"record"`` returns placeholder cells (``cacheable=False``) and
-    #: surfaces dead letters in stats/records; ``"raise"`` aborts.
-    dead_letter_policy: str = "record"
     #: ``HOST:PORT`` of a networked broker server.  When set,
     #: :class:`FleetExecutor` enqueues onto that broker instead of
     #: starting its own; ``n_workers``/``heartbeat_interval``/``faults``
@@ -99,9 +95,6 @@ class FleetOptions:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, "
                              f"got {self.max_attempts}")
-        if self.dead_letter_policy not in ("record", "raise"):
-            raise ValueError(f"dead_letter_policy must be 'record' or "
-                             f"'raise', got {self.dead_letter_policy!r}")
         # SocketBroker reads with a 30 s timeout: a longer wait would
         # time the socket out mid-wait and resend in a loop.
         if not 0 < self.poll_interval < 30.0 or self.run_timeout <= 0:
@@ -217,9 +210,6 @@ class FleetExecutor:
             result = settled[job.digest]
             if result is not None:
                 out.append((list(result[0]), result[1], True))
-            elif opts.dead_letter_policy == "raise":
-                raise FleetError(f"cell {job.digest} dead-lettered after "
-                                 f"{opts.max_attempts} attempts")
             else:
                 # Placeholder values, never cached: the run completes
                 # and records the loss instead of poisoning the cache.

@@ -33,10 +33,8 @@ across runs.
 
 Durability and corruption policy:
 
-* ``fsync="always"`` (the default) fsyncs after every record — the
-  journal survives power loss, not just process death;
-  ``fsync="never"`` leaves flushing to the OS (fast, survives SIGKILL
-  but not the machine).
+* Every record is fsynced before the broker applies its mutation, so
+  the journal survives power loss, not just process death.
 * A **torn tail** — a final record truncated mid-write by a crash — is
   expected and tolerated: opening or reading the journal silently drops
   an unparseable *final* record (and truncates it on open, so appends
@@ -65,12 +63,8 @@ from .broker import InProcessBroker
 #: carry it so a replay of a future journal refuses loudly.
 JOURNAL_VERSION = 1
 
-#: Legal ``fsync`` policies for :class:`Journal`.
-FSYNC_POLICIES = ("always", "never")
-
 #: The mutating broker ops a journal may contain (beyond ``config``).
-MUTATION_OPS = ("enqueue", "lease", "heartbeat", "complete", "fail",
-                "expire")
+MUTATION_OPS = ("enqueue", "lease", "heartbeat", "complete", "expire")
 
 
 class JournalError(ReproError, RuntimeError):
@@ -142,15 +136,12 @@ class Journal:
     mid-file corruption raises :class:`JournalError`.  Attach the open
     journal to an :class:`~repro.fleet.broker.InProcessBroker` (its
     ``journal=`` parameter, or assignment to ``broker.journal``) and
-    every successful mutation is appended before it is applied.
+    every successful mutation is appended, and fsynced, before it is
+    applied.
     """
 
-    def __init__(self, path, fsync: str = "always"):
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(f"fsync must be one of {FSYNC_POLICIES}, "
-                             f"got {fsync!r}")
+    def __init__(self, path):
         self.path = Path(path)
-        self.fsync = fsync
         #: Records appended through this handle (config records included).
         self.appended = 0
         self.records_on_disk = self._recover()
@@ -179,9 +170,7 @@ class Journal:
         line = json.dumps({"op": op, "args": args},
                           separators=(",", ":")).encode("utf-8") + b"\n"
         self._handle.write(line)
-        self._handle.flush()
-        if self.fsync == "always":
-            os.fsync(self._handle.fileno())
+        self.flush()
         self.appended += 1
         self.records_on_disk += 1
 
@@ -206,18 +195,16 @@ class Journal:
                                     separators=(",", ":")).encode("utf-8")
                          + b"\n")
             handle.flush()
-            if self.fsync == "always":
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(staging, self.path)
         self._handle = open(self.path, "ab")
         self.appended += 1
         self.records_on_disk = 1
 
     def flush(self) -> None:
-        """Push buffered records to the OS (and disk under ``always``)."""
+        """Push buffered records through the OS to disk."""
         self._handle.flush()
-        if self.fsync == "always":
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         """Flush and close; the journal can be reopened to resume."""
@@ -283,9 +270,6 @@ def apply_record(broker: InProcessBroker, op: str,
         broker.complete(args["lease_id"], args["now"],
                         values=args.get("values"),
                         elapsed=args.get("elapsed"))
-    elif op == "fail":
-        broker.fail(args["lease_id"], args["now"],
-                    args.get("reason", "failed"))
     elif op == "expire":
         broker.expire(args["now"])
     else:

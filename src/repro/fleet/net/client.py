@@ -16,7 +16,7 @@ socket: every operation is safe to resend, because the broker protocol
 itself absorbs redelivery — ``enqueue`` is idempotent by key (a
 resent batch answers False for keys that already landed),
 ``complete`` by construction (a resent completion is counted as a
-duplicate and ignored), and ``heartbeat``/``fail``/``expire`` converge.
+duplicate and ignored), and ``heartbeat``/``expire`` converge.
 
 Reconnection runs under the fleet's seeded
 :class:`~repro.fleet.backoff.BackoffPolicy` with an overall wall-clock
@@ -151,7 +151,7 @@ class SocketBroker:
 
         Retrying a possibly-delivered request is safe: the broker
         protocol absorbs every redelivery (idempotent enqueue/complete,
-        convergent heartbeat/fail/expire), which is the same property
+        convergent heartbeat/expire), which is the same property
         that makes real at-least-once transports usable behind it.
         Retries run under the seeded :attr:`reconnect` backoff until
         :attr:`reconnect_timeout` wall-clock seconds have passed, then
@@ -222,10 +222,6 @@ class SocketBroker:
             args["values"] = [float(v) for v in values]
             args["elapsed"] = elapsed
         return self.call("complete", **args)
-
-    def fail(self, lease_id: int, now: float, reason: str = "failed") -> str:
-        """Mirror :meth:`InProcessBroker.fail`."""
-        return self.call("fail", lease_id=lease_id, now=now, reason=reason)
 
     def expire(self, now: float) -> List[int]:
         """Mirror :meth:`InProcessBroker.expire`."""

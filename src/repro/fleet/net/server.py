@@ -40,7 +40,6 @@ journal to a single config record, so it never grows across runs.
 from __future__ import annotations
 
 import argparse
-import os
 import signal
 import socket
 import socketserver
@@ -135,8 +134,7 @@ class BrokerServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  lease_timeout: float = 5.0, max_attempts: int = 3,
                  backoff: Optional[BackoffPolicy] = None,
-                 journal: Optional[str] = None,
-                 journal_fsync: str = "always"):
+                 journal: Optional[str] = None):
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._closing = False
@@ -147,7 +145,7 @@ class BrokerServer:
             # journal with records is a crashed broker to resume — its
             # config record wins over our constructor arguments; an
             # empty one is a fresh boot that writes its config first.
-            self._journal = Journal(journal, fsync=journal_fsync)
+            self._journal = Journal(journal)
             if self._journal.records_on_disk > 0:
                 broker = replay_journal(journal)
             else:
@@ -258,8 +256,8 @@ class BrokerServer:
                 result = self._apply(op, args)
                 # Falsy: duplicate enqueues or an empty expire, no change.
                 changed = any(result) if op == "enqueue" else result
-                if changed and op in ("enqueue", "complete", "fail",
-                                      "expire", "reset"):
+                if changed and op in ("enqueue", "complete", "expire",
+                                      "reset"):
                     self._changed.notify_all()
                 return result
             start, waited = time.monotonic(), 0.0
@@ -297,9 +295,6 @@ class BrokerServer:
             return broker.complete(args["lease_id"], args["now"],
                                    values=args.get("values"),
                                    elapsed=args.get("elapsed"))
-        if op == "fail":
-            return broker.fail(args["lease_id"], args["now"],
-                               args.get("reason", "failed"))
         if op == "expire":
             return broker.expire(args["now"])
         if op == "outstanding":
@@ -349,8 +344,7 @@ def _graceful_exit(signum, frame):  # pragma: no cover - signal path
 
 def run_broker(host: str = "127.0.0.1", port: int = 8421, *,
                lease_timeout: float = 5.0, max_attempts: int = 3,
-               journal: Optional[str] = None,
-               journal_fsync: str = "always") -> int:
+               journal: Optional[str] = None) -> int:
     """Blocking entry point for ``python -m repro broker``.
 
     Installs a SIGTERM handler so service managers (and the smoke
@@ -359,14 +353,13 @@ def run_broker(host: str = "127.0.0.1", port: int = 8421, *,
     (Ctrl-C) takes the same path via ``KeyboardInterrupt``.
     """
     server = BrokerServer(host, port, lease_timeout=lease_timeout,
-                          max_attempts=max_attempts, journal=journal,
-                          journal_fsync=journal_fsync)
+                          max_attempts=max_attempts, journal=journal)
     print(f"[broker] listening on {server.address} "
           f"lease_timeout={server._broker.lease_timeout} "
           f"max_attempts={server._broker.max_attempts} (Ctrl-C to stop)",
           flush=True)
     if journal is not None:
-        print(f"[broker] journal {journal} fsync={journal_fsync} "
+        print(f"[broker] journal {journal} "
               f"replayed={server.replayed} "
               f"outstanding={server._broker.outstanding()}", flush=True)
     signal.signal(signal.SIGTERM, _graceful_exit)
@@ -394,21 +387,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--lease-timeout", type=float, default=5.0)
     parser.add_argument("--max-attempts", type=int, default=3)
     parser.add_argument("--journal", metavar="PATH",
-                        default=os.environ.get("REPRO_FLEET_JOURNAL"),
                         help="write-ahead journal file: every broker "
-                             "mutation is logged before it is applied, and "
-                             "a restart replays the file to resume the "
-                             "in-flight run (default: $REPRO_FLEET_JOURNAL)")
-    parser.add_argument("--journal-fsync", choices=["always", "never"],
-                        default="always",
-                        help="fsync after every journal record (survives "
-                             "power loss) or leave flushing to the OS "
-                             "(faster; survives SIGKILL but not the "
-                             "machine)")
+                             "mutation is logged and fsynced before it is "
+                             "applied, and a restart replays the file to "
+                             "resume the in-flight run")
     args = parser.parse_args(argv)
     return run_broker(args.host, args.port, lease_timeout=args.lease_timeout,
-                      max_attempts=args.max_attempts, journal=args.journal,
-                      journal_fsync=args.journal_fsync)
+                      max_attempts=args.max_attempts, journal=args.journal)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by the smoke CI job

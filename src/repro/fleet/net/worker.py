@@ -13,9 +13,9 @@ material, a cell computed on any worker on any machine is bit-identical
 to a serial run of the same grid.
 
 Workers may hold a local :class:`~repro.evaluation.ResultCache`: a
-leased cell already present locally completes instantly, and a bounded
-:class:`~repro.evaluation.EvictionPolicy` keeps long-lived workers from
-growing without bound while the digests of the committed run records
+leased cell already present locally completes instantly, and
+``--cache-max-cells`` keeps a long-lived worker's cache from growing
+without bound while the digests of the committed run records
 (``--results-dir``) stay pinned.
 
 The same loop runs as a process (``repro fleet-worker``) and on the
@@ -54,10 +54,12 @@ def _default_kill() -> None:  # pragma: no cover - exercised in subprocesses
 
 
 class FleetWorker:
-    """One worker: lease, heartbeat, compute, complete — until idle.
+    """One worker: lease, heartbeat, compute, complete — until stopped.
 
     ``poll_interval`` bounds one lease long-poll at the broker, below
     the client's socket ``timeout`` (a timed-out read would resend).
+    ``heartbeat_interval`` defaults to a third of the broker's
+    ``lease_timeout``.
     ``on_kill`` is the fault-injection death hook: the CLI worker uses
     ``os._exit`` (a real process death, mid-lease), while worker
     threads substitute a soft stop so :meth:`run` returns and simply
@@ -68,7 +70,6 @@ class FleetWorker:
     def __init__(self, broker: SocketBroker, *, cache=None,
                  faults: Optional[FaultSchedule] = None,
                  poll_interval: float = 0.2,
-                 idle_exit: Optional[float] = None,
                  heartbeat_interval: Optional[float] = None,
                  retry: Optional[BackoffPolicy] = None,
                  on_kill=None, label: str = "worker"):
@@ -88,7 +89,6 @@ class FleetWorker:
         self.cache = cache
         self.faults = faults if faults is not None else FaultSchedule()
         self.poll_interval = float(poll_interval)
-        self.idle_exit = idle_exit
         self.heartbeat_interval = (heartbeat_interval if heartbeat_interval
                                    is not None
                                    else broker.lease_timeout / 3.0)
@@ -112,15 +112,14 @@ class FleetWorker:
         self._stop.set()
 
     def run(self) -> int:
-        """Lease and compute until stopped or idle; returns cells leased.
+        """Lease and compute until stopped; returns cells leased.
 
         An unreachable broker does not kill the worker: lease polls are
         retried under the seeded :attr:`retry` backoff (counted in
         :attr:`broker_retries`) until the broker returns — restarted
-        from its journal, redelivering idempotently — or ``idle_exit``
-        elapses.
+        from its journal, redelivering idempotently — or :meth:`stop`
+        is called.
         """
-        idle_since = time.time()
         outages = 0
         while not self._stop.is_set():
             try:
@@ -128,19 +127,12 @@ class FleetWorker:
                                           wait=self.poll_interval)
             except (ConnectionError, OSError):
                 self.broker_retries += 1
-                if (self.idle_exit is not None
-                        and time.time() - idle_since >= self.idle_exit):
-                    break
                 self._stop.wait(self.retry.delay("lease", min(outages, 60)))
                 outages += 1
                 continue
             outages = 0
             if lease is None:
-                if (self.idle_exit is not None
-                        and time.time() - idle_since >= self.idle_exit):
-                    break
                 continue
-            idle_since = time.time()
             self.leased += 1
             if not self._attempt(lease):
                 # The kill hook declined to die for real (a test double):
@@ -251,31 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-max-cells", type=int, default=None,
                         metavar="N", help="evict the local cache down to N "
                                           "cells (LRU, pins exempt)")
-    parser.add_argument("--cache-max-bytes", type=int, default=None,
-                        metavar="B", help="evict the local cache down to B "
-                                          "bytes (LRU, pins exempt)")
-    parser.add_argument("--cache-max-age", type=float, default=None,
-                        metavar="S", help="evict unpinned cells older than "
-                                          "S seconds")
     parser.add_argument("--poll", type=float, default=0.2, metavar="S",
                         help="longest a lease request waits at the "
                              "broker for work (must be below 30)")
-    parser.add_argument("--reconnect-timeout", type=float, default=30.0,
-                        metavar="S", help="per-call window to ride out an "
-                                          "unreachable broker before a poll "
-                                          "counts as failed (polls then "
-                                          "retry with backoff)")
-    parser.add_argument("--idle-exit", type=float, default=None, metavar="S",
-                        help="exit after S continuous seconds without work")
-    parser.add_argument("--heartbeat-interval", type=float, default=None,
-                        metavar="S", help="override the lease_timeout/3 "
-                                          "heartbeat cadence")
-    parser.add_argument("--fault-seed", type=int, default=0,
-                        help="seed for the probabilistic fault coins")
-    parser.add_argument("--kill-rate", type=float, default=0.0,
-                        help="probability of dying mid-lease per attempt")
-    parser.add_argument("--drop-rate", type=float, default=0.0,
-                        help="probability of losing a completion per attempt")
     parser.add_argument("--kill", action="append", default=[],
                         type=_parse_coordinate, metavar="DIGEST:ATTEMPT",
                         help="die mid-lease at this exact coordinate "
@@ -293,7 +263,7 @@ def _graceful_exit(signum, frame):  # pragma: no cover - signal path
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one worker process against a broker until idle or SIGTERM/Ctrl-C.
+    """Run one worker process against a broker until SIGTERM/Ctrl-C.
 
     Both signals shut down cleanly: the exit line is printed, the
     broker connection is closed, and the process exits 0.
@@ -303,9 +273,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: no broker address (pass --broker HOST:PORT or set "
               "REPRO_FLEET_BROKER)", file=sys.stderr)
         return 2
+    if not args.cache and (args.cache_max_cells is not None
+                           or args.results_dir):
+        print("error: --cache-max-cells and --results-dir need --cache",
+              file=sys.stderr)
+        return 2
     cache = None
     if args.cache:
-        from ...evaluation import EvictionPolicy, ResultCache
+        from ...evaluation import ResultCache
         pinned = set()
         if args.results_dir:
             from ...results import baseline_digests
@@ -316,21 +291,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"not exist", file=sys.stderr)
                 return 2
             pinned = baseline_digests(args.results_dir)
-        eviction = None
-        if (args.cache_max_cells is not None
-                or args.cache_max_bytes is not None
-                or args.cache_max_age is not None):
-            eviction = EvictionPolicy(max_cells=args.cache_max_cells,
-                                      max_bytes=args.cache_max_bytes,
-                                      max_age_seconds=args.cache_max_age)
-        cache = ResultCache(args.cache, eviction=eviction, pinned=pinned)
-    faults = FaultSchedule(seed=args.fault_seed, kill_rate=args.kill_rate,
-                           drop_rate=args.drop_rate,
-                           kill=frozenset(args.kill),
+        try:
+            cache = ResultCache(args.cache, max_cells=args.cache_max_cells,
+                                pinned=pinned)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    faults = FaultSchedule(kill=frozenset(args.kill),
                            drop=frozenset(args.drop))
     try:
-        broker = SocketBroker(args.broker,
-                              reconnect_timeout=args.reconnect_timeout)
+        broker = SocketBroker(args.broker)
     except (OSError, ConnectionError, ValueError) as exc:
         print(f"error: cannot reach broker at {args.broker}: {exc}",
               file=sys.stderr)
@@ -338,10 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     label = f"worker:{os.getpid()}"
     try:
         worker = FleetWorker(broker, cache=cache, faults=faults,
-                             poll_interval=args.poll,
-                             idle_exit=args.idle_exit,
-                             heartbeat_interval=args.heartbeat_interval,
-                             label=label)
+                             poll_interval=args.poll, label=label)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         broker.close()

@@ -2,18 +2,17 @@
 
 The multi-machine cell-store policy (``docs/engine.md``, "Networked
 fleet"): a long-lived fleet worker's cache is bounded by
-:class:`~repro.evaluation.EvictionPolicy` — size (cells/bytes) and age
-limits applied oldest-first over the sharded layout — while digests
-pinned by committed baseline records are never evicted, reusing the
-same keep-set logic as ``cache prune``.
+``ResultCache(max_cells=...)`` — a cell-count limit applied
+oldest-first over the sharded layout — while digests pinned by
+committed baseline records are never evicted, reusing the same
+keep-set logic as ``cache prune``.
 """
 
 import os
-import time
 
 import pytest
 
-from repro.evaluation import EvictionPolicy, ResultCache, build_jobs
+from repro.evaluation import ResultCache, build_jobs
 
 
 def _jobs(n, n_trials=3):
@@ -37,17 +36,14 @@ def _stems(cache):
     return {path.stem for path in cache.iter_cells()}
 
 
-class TestEvictionPolicy:
-    def test_bounds_must_be_positive(self):
-        with pytest.raises(ValueError):
-            EvictionPolicy(max_cells=0)
-        with pytest.raises(ValueError):
-            EvictionPolicy(max_bytes=0)
-        with pytest.raises(ValueError):
-            EvictionPolicy(max_age_seconds=0.0)
+class TestMaxCells:
+    def test_bounds_must_be_positive(self, tmp_path):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_cells"):
+                ResultCache(tmp_path, max_cells=bad)
 
     def test_unbounded_policy_is_a_no_op(self, tmp_path):
-        cache = ResultCache(tmp_path, eviction=EvictionPolicy())
+        cache = ResultCache(tmp_path)
         jobs = _jobs(4)
         for job in jobs:
             cache.put(job, [1.0] * job.n_trials)
@@ -59,9 +55,9 @@ class TestEvictionPolicy:
 class TestLruEviction:
     def test_max_cells_drops_the_oldest_first(self, tmp_path):
         jobs = _jobs(6)
-        cache = ResultCache(tmp_path, eviction=EvictionPolicy(max_cells=6))
+        cache = ResultCache(tmp_path, max_cells=6)
         _fill(cache, jobs)
-        cache.eviction = EvictionPolicy(max_cells=3)
+        cache.max_cells = 3
         victims = cache.evict()
         assert {v.stem for v in victims} == {j.digest for j in jobs[:3]}
         assert _stems(cache) == {j.digest for j in jobs[3:]}
@@ -69,7 +65,7 @@ class TestLruEviction:
 
     def test_put_keeps_the_cache_within_the_bound(self, tmp_path):
         jobs = _jobs(8)
-        cache = ResultCache(tmp_path, eviction=EvictionPolicy(max_cells=3))
+        cache = ResultCache(tmp_path, max_cells=3)
         for job in jobs:
             cache.put(job, [0.0] * job.n_trials)
             assert len(_stems(cache)) <= 3
@@ -78,47 +74,24 @@ class TestLruEviction:
 
     def test_get_hit_refreshes_recency(self, tmp_path):
         jobs = _jobs(4)
-        cache = ResultCache(tmp_path, eviction=EvictionPolicy(max_cells=4))
+        cache = ResultCache(tmp_path, max_cells=4)
         _fill(cache, jobs)
         # Touch the oldest cell: it becomes the youngest.
         assert cache.get(jobs[0]) == [0.0] * jobs[0].n_trials
-        cache.eviction = EvictionPolicy(max_cells=2)
+        cache.max_cells = 2
         cache.evict()
         survivors = _stems(cache)
         assert jobs[0].digest in survivors
         assert jobs[1].digest not in survivors
-
-    def test_max_bytes_bound(self, tmp_path):
-        jobs = _jobs(5)
-        cache = ResultCache(tmp_path, eviction=EvictionPolicy(max_cells=5))
-        _fill(cache, jobs)
-        sizes = {p.stem: p.stat().st_size for p in cache.iter_cells()}
-        budget = sum(sizes.values()) - 1  # one byte short of everything
-        cache.eviction = EvictionPolicy(max_bytes=budget)
-        victims = cache.evict()
-        # Exactly the oldest cell goes: that already frees enough.
-        assert [v.stem for v in victims] == [jobs[0].digest]
-
-    def test_max_age_drops_stale_cells_regardless_of_size(self, tmp_path):
-        jobs = _jobs(4)
-        cache = ResultCache(tmp_path)
-        now = time.time()
-        _fill(cache, jobs, start=now - 10_000.0, step=5_000.0)
-        cache.eviction = EvictionPolicy(max_age_seconds=3600.0)
-        # jobs[0] at now-10000 and jobs[1] at now-5000 are stale;
-        # jobs[2] (now) and jobs[3] (now+5000) are fresh.
-        victims = cache.evict(now=now)
-        assert {v.stem for v in victims} == {jobs[0].digest, jobs[1].digest}
 
 
 class TestBaselinePins:
     def test_pinned_cells_are_never_evicted(self, tmp_path):
         jobs = _jobs(6)
         pins = {jobs[0].digest, jobs[1].digest}  # the two oldest
-        cache = ResultCache(tmp_path, eviction=EvictionPolicy(max_cells=6),
-                            pinned=pins)
+        cache = ResultCache(tmp_path, max_cells=6, pinned=pins)
         _fill(cache, jobs)
-        cache.eviction = EvictionPolicy(max_cells=3)
+        cache.max_cells = 3
         victims = cache.evict()
         # The three oldest *unpinned* cells go instead.
         assert {v.stem for v in victims} == {j.digest for j in jobs[2:5]}
@@ -126,18 +99,8 @@ class TestBaselinePins:
 
     def test_all_pinned_cache_may_exceed_its_bounds(self, tmp_path):
         jobs = _jobs(4)
-        cache = ResultCache(tmp_path, eviction=EvictionPolicy(max_cells=1),
+        cache = ResultCache(tmp_path, max_cells=1,
                             pinned={j.digest for j in jobs})
         _fill(cache, jobs)
         assert cache.evict() == []
         assert len(_stems(cache)) == 4
-
-    def test_age_bound_spares_pinned_cells(self, tmp_path):
-        jobs = _jobs(3)
-        now = time.time()
-        cache = ResultCache(tmp_path, pinned={jobs[0].digest})
-        _fill(cache, jobs, start=now - 10_000.0, step=1.0)
-        cache.eviction = EvictionPolicy(max_age_seconds=60.0)
-        victims = cache.evict(now=now)
-        assert {v.stem for v in victims} == {jobs[1].digest, jobs[2].digest}
-        assert jobs[0].digest in _stems(cache)

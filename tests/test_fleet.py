@@ -35,7 +35,6 @@ from repro.fleet import (
     QUEUED,
     BackoffPolicy,
     FaultSchedule,
-    FleetError,
     FleetExecutor,
     FleetOptions,
     FleetStats,
@@ -272,17 +271,6 @@ class TestBrokerProtocol:
         assert letter.payload == "job-a"
         assert broker.counters["dead"] == 1
 
-    def test_explicit_fail_requeues_without_waiting_for_expiry(self):
-        broker = self._broker()
-        broker.enqueue("a")
-        lease = broker.lease(now=0.0)
-        assert broker.fail(lease.lease_id, now=1.0, reason="oom") == "requeued"
-        assert broker.state("a") == QUEUED
-        retry = broker.lease(now=_next_eligible(broker))
-        broker.complete(retry.lease_id, now=10.0)
-        # Failing a finished task is a no-op.
-        assert broker.fail(retry.lease_id, now=11.0) == "ignored"
-
     def test_constructor_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             InProcessBroker(lease_timeout=0.0)
@@ -325,13 +313,10 @@ class TestBrokerProtocol:
         # The index was pruned at completion; the straggler's id is gone
         # but must still be absorbed idempotently.
         assert broker.complete(first.lease_id, now=21.0) == "duplicate"
-        assert broker.fail(first.lease_id, now=21.0) == "ignored"
         assert broker.heartbeat(first.lease_id, now=21.0) is False
         assert broker.counters["duplicates"] == 1
         with pytest.raises(KeyError):
             broker.complete(999, now=22.0)
-        with pytest.raises(KeyError):
-            broker.fail(999, now=22.0)
 
     def test_completion_values_ship_through_the_broker(self):
         """The networked channel home: first completion pins the values,
@@ -384,8 +369,6 @@ class TestEngineRegistration:
             FleetOptions(n_workers=0)
         with pytest.raises(ValueError):
             FleetOptions(max_attempts=0)
-        with pytest.raises(ValueError):
-            FleetOptions(dead_letter_policy="shrug")
 
 
 def _raising_point(series, x, rng):
@@ -446,13 +429,6 @@ class TestFleetExecutor:
         assert (warm.hits, warm.misses) == (8, 0)
         assert not second.stats.active()
         assert rerun.series == _run("serial").series
-
-    def test_poisoned_cell_raises_under_the_raise_policy(self):
-        digests = _grid_digests()
-        options = _fast(faults=FaultSchedule(poison=frozenset({digests[0]})),
-                        dead_letter_policy="raise")
-        with pytest.raises(FleetError, match="dead-lettered"):
-            _run(FleetExecutor(options))
 
     def test_poisoned_cell_dead_letters_under_the_record_policy(self,
                                                                 tmp_path):
@@ -524,19 +500,17 @@ class TestFleetExecutor:
     def test_in_process_fleet_leaves_nothing_behind(self, outcome):
         """No broker, handler, worker or heartbeat thread and no socket
         outlives a run — a successful one, or one that raised."""
-        digests = _grid_digests()
-        faults = (FaultSchedule() if outcome == "settled"
-                  else FaultSchedule(poison=frozenset({digests[0]})))
-        executor = FleetExecutor(_fast(faults=faults,
-                                       dead_letter_policy="raise"))
+        executor = FleetExecutor(_fast())
         before = set(threading.enumerate())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             if outcome == "settled":
                 assert _run(executor).series == _run("serial").series
             else:
-                with pytest.raises(FleetError, match="dead-lettered"):
-                    _run(executor)
+                with pytest.raises(RuntimeError, match="point failed at x="):
+                    run_grid(_raising_point, "x", X_VALUES, "series",
+                             SERIES_VALUES, n_trials=N_TRIALS,
+                             seed=GRID_SEED, executor=executor)
             assert set(threading.enumerate()) == before
             gc.collect()
         leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -148,9 +148,16 @@ class TestSocketContractParity:
     def test_unknown_lease_id_raises_keyerror_through_the_wire(self, broker):
         with pytest.raises(KeyError):
             broker.complete(999, now=1.0)
-        with pytest.raises(KeyError):
-            broker.fail(999, now=1.0)
         assert broker.heartbeat(999, now=1.0) is False
+
+    def test_fail_is_not_a_wire_op(self, broker):
+        """No worker reports a failed attempt: expiry is the only path
+        back to the queue, so the server refuses ``fail``."""
+        broker.enqueue("k")
+        lease = broker.lease(now=1.0)
+        with pytest.raises(protocol.ProtocolError, match="unknown op"):
+            broker.call("fail", lease_id=lease.lease_id, now=2.0)
+        assert broker.state("k") == LEASED
 
     def test_expiry_retry_and_dead_letter_over_the_wire(self, broker):
         broker.enqueue("doomed")
@@ -419,17 +426,11 @@ class TestFactoryWiring:
 
 
 class TestWorkerOptions:
-    def test_nonpositive_heartbeat_interval_is_rejected(self, server,
-                                                        capsys):
-        from repro.fleet.net.worker import main
+    def test_nonpositive_heartbeat_interval_is_rejected(self, server):
         with SocketBroker(server.address) as broker:
             for bad in (0.0, -1.0):
                 with pytest.raises(ValueError, match="heartbeat_interval"):
                     FleetWorker(broker, heartbeat_interval=bad)
-        # The CLI refuses it before polling, instead of spinning.
-        assert main(["--broker", server.address,
-                     "--heartbeat-interval", "0"]) == 2
-        assert "heartbeat_interval must be > 0" in capsys.readouterr().err
 
     def test_poll_at_or_above_the_socket_timeout_is_rejected(self, server,
                                                               capsys):
@@ -453,6 +454,42 @@ class TestWorkerOptions:
                      "--cache", str(tmp_path / "cells"),
                      "--results-dir", str(tmp_path / "nope")]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--cache-max-cells", "3"], "need --cache"),
+        (["--results-dir", "benchmarks/results"], "need --cache"),
+        (["--cache", "{cells}", "--cache-max-cells", "0"],
+         "max_cells must be >= 1"),
+    ])
+    def test_cache_options_are_checked_before_contacting_the_broker(
+            self, tmp_path, capsys, args, message):
+        """Nothing listens at the broker address, so reaching it would
+        fail with exit 1 instead of the usage error."""
+        from repro.fleet.net.worker import main
+        args = [arg.format(cells=tmp_path / "cells") for arg in args]
+        assert main(["--broker", "127.0.0.1:1", *args]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fleet-worker", "--cache-max-bytes"),
+        ("fleet-worker", "--cache-max-age"),
+        ("fleet-worker", "--reconnect-timeout"),
+        ("fleet-worker", "--idle-exit"),
+        ("fleet-worker", "--heartbeat-interval"),
+        ("fleet-worker", "--fault-seed"),
+        ("fleet-worker", "--kill-rate"),
+        ("fleet-worker", "--drop-rate"),
+        ("broker", "--journal-fsync"),
+    ])
+    def test_removed_flags_are_usage_errors(self, command, flag, capsys):
+        from repro.fleet.net import server, worker
+        main = worker.main if command == "fleet-worker" else server.main
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--broker", "127.0.0.1:1", flag, "1"]
+                 if command == "fleet-worker" else [flag, "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLongPoll:
@@ -484,7 +521,8 @@ class TestLongPoll:
         lease = broker.lease
         broker.lease = lambda now, wait=None: (calls.append(now),
                                                lease(now, wait=wait))[1]
-        worker = FleetWorker(broker, poll_interval=0.2, idle_exit=1.0)
+        worker = FleetWorker(broker, poll_interval=0.2)
+        threading.Timer(1.0, worker.stop).start()
         try:
             assert worker.run() == 0
         finally:
@@ -687,10 +725,11 @@ class TestReconnectAndRecovery:
         broker = SocketBroker(server.address, reconnect=QUICK_RECONNECT,
                               reconnect_timeout=0.1)
         server.stop()
-        worker = FleetWorker(broker, poll_interval=0.01, idle_exit=0.8,
+        worker = FleetWorker(broker, poll_interval=0.01,
                              retry=BackoffPolicy(base=0.02, cap=0.05,
                                                  jitter=0.0))
-        assert worker.run() == 0  # survived the outage, then idled out
+        threading.Timer(0.8, worker.stop).start()
+        assert worker.run() == 0  # survived the outage until stopped
         assert worker.broker_retries >= 2
 
     def test_journalled_server_restart_resumes_state(self, tmp_path):

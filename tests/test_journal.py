@@ -10,16 +10,15 @@ is the oracle throughout.
 Three layers:
 
 * **Property**: randomized op soups (leases, heartbeats, completions —
-  live, late and duplicate — explicit failures, expiry sweeps: every
-  mutation a coordinator or worker can send) replay to
-  snapshot-identical brokers.
+  live, late and duplicate — and expiry sweeps: every mutation a
+  coordinator or worker can send) replay to snapshot-identical brokers.
 * **Crash-at-every-record**: the journal truncated at every record
   boundary (and mid-record) replays to exactly the state after the
   surviving prefix — a torn tail is dropped, never guessed at — while
   corruption *before* intact records refuses to replay at all.
 * **Mechanics**: write-ahead ordering (no record for no-op or raising
-  calls), reopen-resume, ``reset`` compaction, fsync policy and
-  version validation.
+  calls), reopen-resume, ``reset`` compaction, the durable append path
+  and version validation.
 """
 
 import json
@@ -40,7 +39,7 @@ from repro.fleet.journal import JOURNAL_VERSION, apply_record
 
 def _journalled_broker(path, **config):
     """A fresh broker logging to ``path`` (config record written)."""
-    journal = Journal(path, fsync="never")
+    journal = Journal(path)
     broker = InProcessBroker(journal=journal, **config)
     journal.reset(lease_timeout=broker.lease_timeout,
                   max_attempts=broker.max_attempts, backoff=broker.backoff)
@@ -58,7 +57,7 @@ def _random_workout(path, seed):
     for step in range(rng.randrange(40, 120)):
         now += rng.random() * 3.0
         op = rng.choice(("enqueue", "lease", "heartbeat", "complete",
-                         "fail", "expire"))
+                         "expire"))
         if op == "enqueue":
             broker.enqueue(f"cell-{rng.randrange(20)}",
                            payload=("point", step))
@@ -73,8 +72,6 @@ def _random_workout(path, seed):
             # duplicate/late absorption paths must journal too.
             broker.complete(rng.choice(leases).lease_id, now,
                             values=[float(step)], elapsed=0.125)
-        elif op == "fail" and leases:
-            broker.fail(rng.choice(leases).lease_id, now, "injected")
         elif op == "expire":
             broker.expire(now)
     journal.close()
@@ -90,10 +87,10 @@ def _scripted_journal(path):
     broker.enqueue("beta")
     first = broker.lease(1.0)
     broker.heartbeat(first.lease_id, 1.5)
-    second = broker.lease(2.0)
+    broker.lease(2.0)
     broker.complete(first.lease_id, 2.5, values=[1.0, 2.0], elapsed=0.1)
     broker.complete(first.lease_id, 2.6, values=[1.0, 2.0], elapsed=0.1)
-    broker.fail(second.lease_id, 3.0, "boom")       # attempt 1 of 2
+    broker.expire(5.0)                              # attempt 1 of 2
     retry = broker.lease(10.0)                      # past the backoff hold
     broker.expire(100.0)                            # exhausts beta -> dead
     assert retry is not None and broker.counters["dead"] == 1
@@ -129,7 +126,7 @@ class TestReplayParity:
         journal.close()
         # "Restart": replay, then attach a reopened journal and go on.
         resumed = replay_journal(path)
-        resumed.journal = Journal(path, fsync="never")
+        resumed.journal = Journal(path)
         resumed.complete(lease.lease_id, 2.0, values=[9.0], elapsed=0.5)
         resumed.enqueue("late")
         resumed.journal.close()
@@ -174,7 +171,7 @@ class TestCrashTruncation:
         _scripted_journal(path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-7])  # mid-record crash
-        journal = Journal(path, fsync="never")
+        journal = Journal(path)
         journal.close()
         clean = path.read_bytes()
         assert raw.startswith(clean) and clean.endswith(b"\n")
@@ -189,14 +186,14 @@ class TestCrashTruncation:
         with pytest.raises(JournalError, match="mid-file"):
             replay_journal(path)
         with pytest.raises(JournalError, match="mid-file"):
-            Journal(path, fsync="never")
+            Journal(path)
 
     def test_a_journal_of_only_torn_bytes_has_no_records(self, tmp_path):
         path = tmp_path / "stub.wal"
         path.write_bytes(b'{"op": "conf')
         with pytest.raises(JournalError, match="no intact records"):
             read_journal(path)
-        journal = Journal(path, fsync="never")  # recovery truncates it
+        journal = Journal(path)  # recovery truncates it
         assert journal.records_on_disk == 0
         journal.close()
 
@@ -214,8 +211,6 @@ class TestWriteAheadDiscipline:
         assert journal.appended == written
         with pytest.raises(KeyError):
             broker.complete(987654, 0.0)              # raising call
-        with pytest.raises(KeyError):
-            broker.fail(987654, 0.0)
         assert journal.appended == written
         journal.close()
 
@@ -229,10 +224,10 @@ class TestWriteAheadDiscipline:
         bare.enqueue("beta")
         first = bare.lease(1.0)
         bare.heartbeat(first.lease_id, 1.5)
-        second = bare.lease(2.0)
+        bare.lease(2.0)
         bare.complete(first.lease_id, 2.5, values=[1.0, 2.0], elapsed=0.1)
         bare.complete(first.lease_id, 2.6, values=[1.0, 2.0], elapsed=0.1)
-        bare.fail(second.lease_id, 3.0, "boom")
+        bare.expire(5.0)
         bare.lease(10.0)
         bare.expire(100.0)
         assert bare.snapshot() == journalled.snapshot()
@@ -256,10 +251,6 @@ class TestCompactionAndValidation:
         fresh = replay_journal(path)
         assert fresh.outstanding() == 0 and fresh.max_attempts == 5
 
-    def test_fsync_policy_is_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="fsync"):
-            Journal(tmp_path / "bad.wal", fsync="sometimes")
-
     def test_first_record_must_be_config(self, tmp_path):
         path = tmp_path / "headless.wal"
         path.write_text(json.dumps(
@@ -276,17 +267,18 @@ class TestCompactionAndValidation:
         with pytest.raises(JournalError, match="journal_version"):
             read_journal(path)
 
-    def test_unknown_op_refuses_to_replay(self, tmp_path):
+    @pytest.mark.parametrize("op", ["teleport", "fail"])
+    def test_unknown_op_refuses_to_replay(self, tmp_path, op):
         path = tmp_path / "odd.wal"
         broker, journal = _journalled_broker(path)
-        journal.append("teleport", {"now": 1.0})
+        journal.append(op, {"lease_id": 0, "now": 1.0})
         journal.close()
         with pytest.raises(JournalError, match="unknown journal op"):
             replay_journal(path)
 
     def test_always_fsync_appends_and_replays(self, tmp_path):
         path = tmp_path / "durable.wal"
-        journal = Journal(path, fsync="always")
+        journal = Journal(path)
         broker = InProcessBroker(journal=journal)
         journal.reset(lease_timeout=broker.lease_timeout,
                       max_attempts=broker.max_attempts,
